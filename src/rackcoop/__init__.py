@@ -24,11 +24,12 @@ from .codec import (
 )
 from .field import FieldSpec, gf256, gf65536, prime_field
 from .harness import Manifest, Scenario, load, run_scenario, save
-from .ifg import FlowGraph, RepairStage, build as build_ifg, max_flow, worst_case_mincut
+from .ifg import FlowGraph, build as build_ifg, max_flow, worst_case_mincut
 from .linalg import Matrix
 from .params import (
     CodeParams,
     ParameterError,
+    RepairStage,
     TradeoffPoint,
     construction_params,
     mbrcr_point,

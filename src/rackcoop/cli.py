@@ -196,25 +196,17 @@ def _cmd_repair(args) -> int:
         helpers = tuple(int(x) for x in args.helpers.split(","))
     except ValueError:
         raise CliError(f"--helpers must be integers, got {args.helpers!r}") from None
-    before = {
-        (rack, i): state.node(rack, i) for rack, idxs in failed.items() for i in idxs
-    }
-    for rack, idxs in failed.items():
-        for i in idxs:
-            state.erase(rack, i)
-    _, transcript = codec.repair(spec, state, failed, helpers)
-    for (rack, i), original in before.items():
-        if not np.array_equal(original, state.node(rack, i)):
-            print(f"INTEGRITY: node ({rack}, {i}) not restored exactly", file=sys.stderr)
-            return EXIT_INTEGRITY
+    stage = params_mod.RepairStage.make(failed, helpers)
+    transcript = harness.repair_round(spec, state, stage)
     harness.save(state, spec, args.dir)
-    for rack in sorted(failed):
+    for rack in stage.racks:
         print(f"rack {rack}: {transcript.cross_symbols(rack)} cross-rack symbols")
     for helper, dst, count in transcript.round1:
         print(f"  round1 helper {helper} -> rack {dst}: {count}")
     for src, dst, count in transcript.round2:
         print(f"  round2 rack {src} -> rack {dst}: {count}")
-    print("repair complete; contents verified against pre-failure state")
+    print("repair complete; contents verified against pre-failure state, "
+          f"gamma = {spec.layout.gamma} per failed rack")
     return EXIT_OK
 
 
@@ -361,7 +353,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (params_mod.ParameterError, codec.EncodingError, codec.RepairPatternError,
+    except (params_mod.ParameterError, codec.EncodingError, params_mod.RepairPatternError,
             codec.CodeBuildError, FieldError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

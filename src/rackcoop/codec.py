@@ -20,6 +20,10 @@ where M_i is the i-th structured message matrix, u_l / v_l are rack l's
 columns of the fixed matrices U and V, and c_l is the concatenation of the
 rack's global node contents.  The dropped (2d+f)-th entry is recoverable
 from the stored ones through u_l^T M_i v_l = v_l^T M_i^T u_l.
+
+Every stored symbol is thus a fixed linear functional of the message; the
+functionals stack into the node generator ``CodeSpec.generator``, and both
+encode and collect are derived from it.
 """
 
 from __future__ import annotations
@@ -32,10 +36,16 @@ from functools import cached_property
 
 import numpy as np
 
-from . import linalg
+from . import field as field_mod, linalg
 from .field import Field
 from .linalg import Matrix
-from .params import CodeParams, ConstructionLayout, construction_params
+from .params import (
+    CodeParams,
+    ConstructionLayout,
+    RepairPatternError,
+    RepairStage,
+    construction_params,
+)
 
 
 class CodeBuildError(RuntimeError):
@@ -51,10 +61,6 @@ class CodeIntegrityError(RuntimeError):
 
 
 class EncodingError(ValueError):
-    pass
-
-
-class RepairPatternError(ValueError):
     pass
 
 
@@ -205,27 +211,28 @@ class CodeSpec:
     def v_col(self, rack: int) -> np.ndarray:
         return self.V.column(rack - 1)
 
-    # -- stored-symbol functionals --------------------------------------
+    # -- the node generator ---------------------------------------------
+
+    def node_rows(self, rack: int, node: int) -> slice:
+        """Rows of :attr:`generator` holding node (rack, node)'s symbols."""
+        start = ((rack - 1) * self.params.nodes_per_rack + node - 1) * self.alpha
+        return slice(start, start + self.alpha)
 
     @cached_property
-    def functionals(self) -> dict[tuple[int, int], Matrix]:
-        """For each node, the alpha x B matrix mapping the message to its
-        stored symbols."""
-        out: dict[tuple[int, int], Matrix] = {}
+    def generator(self) -> Matrix:
+        """The (n*alpha) x B matrix mapping the message to every stored
+        symbol, node by node in (rack, node) order (see :meth:`node_rows`)."""
         p = self.params
-        gt = linalg.transpose(self.G)
+        w = np.zeros((p.n * self.alpha, self.n_global), dtype=np.int64)
         for rack in range(1, p.r + 1):
             for node in range(1, p.nodes_per_rack + 1):
+                rows = self.node_rows(rack, node)
                 if node > p.failures_per_rack:
-                    slot = node - p.failures_per_rack
-                    start = self.global_col(rack, slot)
-                    out[(rack, node)] = gt.take_rows(range(start, start + self.alpha))
+                    start = self.global_col(rack, node - p.failures_per_rack)
+                    w[rows, start : start + self.alpha] = np.eye(self.alpha, dtype=np.int64)
                 else:
-                    w = self._mbcr_global_map(rack, node)
-                    out[(rack, node)] = Matrix(
-                        self.field, linalg._raw_matmul(self.field, w, gt.data)
-                    )
-        return out
+                    w[rows] = self._mbcr_global_map(rack, node)
+        return Matrix(self.field, linalg._raw_matmul(self.field, w, self.G.data.T))
 
     def _mbcr_global_map(self, rack: int, i: int) -> np.ndarray:
         """alpha x N matrix mapping outer-code symbols to node (rack, i)'s
@@ -262,16 +269,20 @@ class CodeSpec:
 # -- construction -------------------------------------------------------
 
 
-def default_field(p: CodeParams) -> Field:
-    """GF(2^8) while the outer code fits, GF(2^16) otherwise."""
-    from . import field as field_mod
+def _field_candidates(p: CodeParams) -> list:
+    """Field constructors of the default policy, in order: GF(2^8) while the
+    outer code fits, then GF(2^16)."""
+    n_global = construction_params(p).n_global
+    fits = [make for make, length in ((field_mod.gf256, 255), (field_mod.gf65536, 65535))
+            if n_global <= length]
+    if not fits:
+        raise CodeBuildError(f"outer code length {n_global} exceeds GF(2^16)")
+    return fits
 
-    layout = construction_params(p)
-    if layout.n_global <= 255:
-        return field_mod.gf256()
-    if layout.n_global <= 65535:
-        return field_mod.gf65536()
-    raise CodeBuildError(f"outer code length {layout.n_global} exceeds GF(2^16)")
+
+def default_field(p: CodeParams) -> Field:
+    """The first field of the default policy."""
+    return _field_candidates(p)[0]()
 
 
 def build_default_code(p: CodeParams, seed: int, **kwargs) -> CodeSpec:
@@ -281,20 +292,10 @@ def build_default_code(p: CodeParams, seed: int, **kwargs) -> CodeSpec:
     if verification exhausts its resamples there, the build escalates to
     GF(2^16).  Parameter-level impossibilities are not retried.
     """
-    from . import field as field_mod
-
-    layout = construction_params(p)
-    candidates = []
-    if layout.n_global <= 255:
-        candidates.append(field_mod.gf256())
-    if layout.n_global <= 65535:
-        candidates.append(field_mod.gf65536())
-    if not candidates:
-        raise CodeBuildError(f"outer code length {layout.n_global} exceeds GF(2^16)")
     last: CodeBuildError | None = None
-    for f in candidates:
+    for make in _field_candidates(p):
         try:
-            return build_code(p, f, seed, **kwargs)
+            return build_code(p, make(), seed, **kwargs)
         except UnsupportedParametersError:
             raise
         except CodeBuildError as exc:
@@ -536,8 +537,7 @@ def _collector_rank_problem(spec, subset_limit, subset_samples):
         srng = random.Random(spec.seed ^ 0x5EED)
         subsets = (tuple(sorted(srng.sample(ids, p.k))) for _ in range(subset_samples))
     for subset in subsets:
-        stacked = np.vstack([spec.functionals[node].data for node in subset])
-        if linalg.rank(Matrix(spec.field, stacked)) != spec.file_size:
+        if linalg.rank(stack_functionals(spec, subset)) != spec.file_size:
             return subset
     return None
 
@@ -545,7 +545,7 @@ def _collector_rank_problem(spec, subset_limit, subset_samples):
 # -- encoding -----------------------------------------------------------
 
 
-def global_symbols(spec: CodeSpec, message) -> np.ndarray:
+def _check_message(spec: CodeSpec, message) -> np.ndarray:
     msg = np.asarray(message, dtype=np.int64)
     if msg.shape != (spec.file_size,):
         raise EncodingError(
@@ -553,49 +553,19 @@ def global_symbols(spec: CodeSpec, message) -> np.ndarray:
         )
     if msg.size and (msg.min() < 0 or msg.max() >= spec.field.order):
         raise EncodingError("message symbol outside field range")
-    return linalg.vec_mat(msg, spec.G)
+    return msg
 
 
-def message_matrices(spec: CodeSpec, message) -> list[Matrix]:
-    """The e/f structured message matrices M_i filled from the outer code."""
-    g = global_symbols(spec, message)
-    return [_assemble_mm(spec, g, i) for i in range(1, spec.matrices_per_rack + 1)]
-
-
-def _assemble_mm(spec: CodeSpec, g: np.ndarray, i: int) -> Matrix:
-    p = spec.params
-    data = np.zeros((p.d, p.d + p.f), dtype=np.int64)
-    for row in range(p.d):
-        for col in range(p.d + p.f):
-            src = spec.message_matrix_col(i, row, col)
-            if src is not None:
-                data[row, col] = g[src]
-    return Matrix(spec.field, data)
-
-
-def mbcr_vector(spec: CodeSpec, mm: Matrix, rack: int) -> np.ndarray:
-    """The full 2d+f product-matrix vector [M_i v_l ; M_i^T u_l]."""
-    top = linalg.mat_vec(mm, spec.v_col(rack))
-    bottom = linalg.mat_vec(linalg.transpose(mm), spec.u_col(rack))
-    return np.concatenate([top, bottom])
+def global_symbols(spec: CodeSpec, message) -> np.ndarray:
+    """The outer-code word G^T m."""
+    return linalg.vec_mat(_check_message(spec, message), spec.G)
 
 
 def encode(spec: CodeSpec, message) -> ClusterState:
-    g = global_symbols(spec, message)
-    p = spec.params
-    state = ClusterState(p, spec.field, spec.alpha)
-    for rack in range(1, p.r + 1):
-        for slot in range(1, spec.globals_per_rack + 1):
-            start = spec.global_col(rack, slot)
-            state.set_node(rack, p.failures_per_rack + slot, g[start : start + spec.alpha])
-    mms = [_assemble_mm(spec, g, i) for i in range(1, spec.matrices_per_rack + 1)]
-    for rack in range(1, p.r + 1):
-        c_l = g[spec.rack_global_slice(rack)]
-        for i in range(1, spec.matrices_per_rack + 1):
-            vec = mbcr_vector(spec, mms[i - 1], rack)
-            parity = linalg.mat_vec(spec.P[i - 1][rack - 1], c_l)
-            stored = spec.field.vec_add(vec, parity)[: spec.alpha]
-            state.set_node(rack, i, stored)
+    symbols = linalg.mat_vec(spec.generator, _check_message(spec, message))
+    state = ClusterState(spec.params, spec.field, spec.alpha)
+    for rack, node in state.node_ids():
+        state.set_node(rack, node, symbols[spec.node_rows(rack, node)])
     return state
 
 
@@ -603,43 +573,33 @@ def encode(spec: CodeSpec, message) -> ClusterState:
 
 
 def stack_functionals(spec: CodeSpec, nodes) -> Matrix:
-    """Stacked message-to-symbol map of the given nodes (len(nodes)*alpha x B)."""
-    rows = [spec.functionals[(rack, node)].data for rack, node in nodes]
+    """Stacked generator rows of the given nodes (len(nodes)*alpha x B)."""
+    rows = [spec.generator.data[spec.node_rows(rack, node)] for rack, node in nodes]
     return Matrix(spec.field, np.vstack(rows))
 
 
 def collect(spec: CodeSpec, state: ClusterState, nodes) -> np.ndarray:
-    """Recover the message from any k live nodes."""
+    """Recover the message from any k live nodes.
+
+    The k*alpha observed symbols are solved against the stacked generator
+    rows; the k*alpha - B redundant ones must agree, so a corrupt collector
+    symbol raises ``CodeIntegrityError`` instead of decoding to wrong bytes.
+    """
     p = spec.params
     chosen = sorted(set((int(r), int(i)) for r, i in nodes))
     if len(chosen) != p.k:
         raise EncodingError(f"collect needs exactly {p.k} distinct nodes, got {len(chosen)}")
     for rack, node in chosen:
+        if not (1 <= rack <= p.r and 1 <= node <= p.nodes_per_rack):
+            raise EncodingError(f"collector node ({rack}, {node}) out of range")
         if state.is_erased(rack, node):
             raise EncodingError(f"collector node ({rack}, {node}) is erased")
-    if all(node > p.failures_per_rack for _, node in chosen):
-        # Pure global pick: any B outer-code columns are independent, so
-        # plain MDS decoding suffices.
-        cols, vals = [], []
-        for rack, node in chosen:
-            slot = node - p.failures_per_rack
-            start = spec.global_col(rack, slot)
-            content = state.node(rack, node)
-            for pos in range(spec.alpha):
-                if len(cols) == spec.file_size:
-                    break
-                cols.append(start + pos)
-                vals.append(int(content[pos]))
-        sub = spec.G.take_columns(cols)
-        return linalg.solve(linalg.transpose(sub), np.array(vals, dtype=np.int64))
     stacked = stack_functionals(spec, chosen)
     observed = np.concatenate([state.node(rack, node) for rack, node in chosen])
     try:
         return linalg.solve_full_rank(stacked, observed)
-    except linalg.SingularMatrixError as exc:
-        raise CodeIntegrityError(
-            "collector system lost rank; the code instance is corrupt"
-        ) from exc
+    except linalg.LinalgError as exc:  # rank lost or redundant symbols disagree
+        raise CodeIntegrityError(f"collect failed ({exc}); a node or the code is corrupt") from exc
 
 
 # -- repair -------------------------------------------------------------
@@ -720,12 +680,17 @@ def repair(spec: CodeSpec, state: ClusterState, failed, helpers) -> tuple[Cluste
     the per-rack vector-MDS property.
     """
     p = spec.params
-    failed_map = {int(rack): tuple(sorted(int(i) for i in idxs)) for rack, idxs in dict(failed).items()}
-    helper_racks = tuple(sorted(int(h) for h in helpers))
-    _check_pattern(spec, state, failed_map, helper_racks)
+    stage = RepairStage.make(failed, helpers).validate(p)
+    failed_map = dict(stage.failed)
+    failed_racks, helper_racks = stage.racks, stage.helpers
+    expected = {(rack, i) for rack, idxs in stage.failed for i in idxs}
+    actual = set(state.erased_nodes())
+    if actual != expected:
+        raise RepairPatternError(
+            f"state erasures {sorted(actual)} do not match the declared pattern {sorted(expected)}"
+        )
     f = spec.field
     epf = p.failures_per_rack
-    failed_racks = sorted(failed_map)
 
     round1: list[tuple[int, int, int]] = []
     round2: list[tuple[int, int, int]] = []
@@ -818,29 +783,3 @@ def repair(spec: CodeSpec, state: ClusterState, failed, helpers) -> tuple[Cluste
     )
     return state, transcript
 
-
-def _check_pattern(spec, state, failed_map, helper_racks):
-    p = spec.params
-    if len(failed_map) != p.f:
-        raise RepairPatternError(f"need failures in exactly {p.f} racks, got {len(failed_map)}")
-    for rack, idxs in failed_map.items():
-        if not 1 <= rack <= p.r:
-            raise RepairPatternError(f"rack {rack} out of range")
-        if len(set(idxs)) != p.failures_per_rack:
-            raise RepairPatternError(
-                f"rack {rack} must lose exactly {p.failures_per_rack} distinct nodes"
-            )
-        if any(not 1 <= i <= p.nodes_per_rack for i in idxs):
-            raise RepairPatternError(f"node index out of range in rack {rack}")
-    if len(set(helper_racks)) != p.d:
-        raise RepairPatternError(f"need exactly {p.d} distinct helper racks")
-    if any(not 1 <= h <= p.r for h in helper_racks):
-        raise RepairPatternError("helper rack out of range")
-    if set(helper_racks) & set(failed_map):
-        raise RepairPatternError("helper racks must be disjoint from failed racks")
-    expected = {(rack, i) for rack, idxs in failed_map.items() for i in idxs}
-    actual = set(state.erased_nodes())
-    if actual != expected:
-        raise RepairPatternError(
-            f"state erasures {sorted(actual)} do not match the declared pattern {sorted(expected)}"
-        )

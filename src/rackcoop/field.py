@@ -73,17 +73,11 @@ class Field:
     def sub(self, a: int, b: int) -> int:
         raise NotImplementedError
 
-    def neg(self, a: int) -> int:
-        raise NotImplementedError
-
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
 
     def inv(self, a: int) -> int:
         raise NotImplementedError
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, n: int) -> int:
         raise NotImplementedError
@@ -207,9 +201,6 @@ class BinaryField(Field):
 
     sub = add
 
-    def neg(self, a: int) -> int:
-        return self.check(a)
-
     def mul(self, a: int, b: int) -> int:
         a, b = self.check(a), self.check(b)
         if a == 0 or b == 0:
@@ -265,9 +256,6 @@ class PrimeField(Field):
 
     def sub(self, a: int, b: int) -> int:
         return (self.check(a) - self.check(b)) % self.order
-
-    def neg(self, a: int) -> int:
-        return (-self.check(a)) % self.order
 
     def mul(self, a: int, b: int) -> int:
         return (self.check(a) * self.check(b)) % self.order

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
 
 from . import codec, field as field_mod, params as params_mod
-from .codec import ClusterState, CodeSpec
-from .params import CodeParams, mbrcr_point
+from .codec import ClusterState, CodeSpec, RepairTranscript
+from .params import CodeParams, RepairStage, mbrcr_point
 
 LAYOUT_VERSION = 1
 
@@ -154,44 +155,52 @@ def load(directory) -> tuple[ClusterState, CodeSpec]:
 
 
 @dataclass(frozen=True)
-class ScenarioRound:
-    failed: tuple[tuple[int, tuple[int, ...]], ...]
-    helpers: tuple[int, ...]
-
-    @classmethod
-    def make(cls, failed, helpers) -> "ScenarioRound":
-        items = failed.items() if isinstance(failed, dict) else failed
-        norm = tuple(sorted((int(r), tuple(sorted(int(i) for i in idx)))
-                            for r, idx in items))
-        return cls(failed=norm, helpers=tuple(sorted(int(h) for h in helpers)))
-
-    def failed_map(self) -> dict[int, tuple[int, ...]]:
-        return dict(self.failed)
-
-
-@dataclass(frozen=True)
 class Scenario:
     seed: int
-    rounds: tuple[ScenarioRound, ...]
+    rounds: tuple[RepairStage, ...]
     probes: tuple[tuple[tuple[int, int], ...], ...]
 
 
 def random_scenario(p: CodeParams, seed: int, n_rounds: int, n_probes: int) -> Scenario:
-    import random as _random
-
-    rng = _random.Random(seed)
-    rounds = []
-    for _ in range(n_rounds):
-        racks = rng.sample(range(1, p.r + 1), p.f)
-        helpers = rng.sample([h for h in range(1, p.r + 1) if h not in racks], p.d)
-        failed = {
-            rack: tuple(rng.sample(range(1, p.nodes_per_rack + 1), p.failures_per_rack))
-            for rack in racks
-        }
-        rounds.append(ScenarioRound.make(failed, helpers))
+    rng = random.Random(seed)
+    rounds = tuple(RepairStage.random(p, rng) for _ in range(n_rounds))
     ids = [(r, i) for r in range(1, p.r + 1) for i in range(1, p.nodes_per_rack + 1)]
     probes = tuple(tuple(sorted(rng.sample(ids, p.k))) for _ in range(n_probes))
-    return Scenario(seed=seed, rounds=tuple(rounds), probes=probes)
+    return Scenario(seed=seed, rounds=rounds, probes=probes)
+
+
+def repair_round(spec: CodeSpec, state: ClusterState, stage: RepairStage) -> RepairTranscript:
+    """Erase ``stage``'s nodes, repair them in place, and check the result.
+
+    The stage is validated before any node is read or erased.  The repaired
+    nodes must equal their pre-failure contents, the transcript's ledger must
+    balance, and every failed rack must receive exactly
+    gamma = d*beta1 + (f-1)*beta2 cross-rack symbols; violations raise
+    ``ScenarioError``.
+    """
+    stage.validate(spec.params)
+    pre = {(rack, i): state.node(rack, i) for rack, idxs in stage.failed for i in idxs}
+    for rack, i in pre:
+        state.erase(rack, i)
+    _, transcript = codec.repair(spec, state, stage.failed, stage.helpers)
+    for (rack, i), before in pre.items():
+        after = state.node(rack, i)
+        if not np.array_equal(before, after):
+            raise ScenarioError(
+                f"node ({rack}, {i}) restored incorrectly "
+                f"(first diff at position {int(np.argmax(before != after))})"
+            )
+    sent = sum(c for *_, c in transcript.round1 + transcript.round2)
+    if sent != sum(transcript.cross_symbols(rack) for rack in stage.racks):
+        raise ScenarioError("ledger imbalance (sent != received)")
+    gamma = spec.layout.gamma
+    for rack in stage.racks:
+        got = transcript.cross_symbols(rack)
+        if got != gamma:
+            raise ScenarioError(
+                f"rack {rack} moved {got} cross-rack symbols, expected gamma = {gamma}"
+            )
+    return transcript
 
 
 @dataclass
@@ -239,37 +248,16 @@ def run_scenario(spec: CodeSpec, state: ClusterState, scenario: Scenario,
         f"scenario: {len(scenario.rounds)} repair rounds, {len(scenario.probes)} probes"
     )
     for idx, rnd in enumerate(scenario.rounds, start=1):
-        failed = rnd.failed_map()
-        pre = {(rack, i): state.node(rack, i) for rack, idxs in failed.items() for i in idxs}
-        for rack, idxs in failed.items():
-            for i in idxs:
-                state.erase(rack, i)
-        _, transcript = codec.repair(spec, state, failed, rnd.helpers)
-        for (rack, i), before in pre.items():
-            after = state.node(rack, i)
-            if not np.array_equal(before, after):
-                raise ScenarioError(
-                    f"round {idx}: node ({rack}, {i}) restored incorrectly "
-                    f"(first diff at position "
-                    f"{int(np.argmax(before != after))})"
-                )
-        sent1 = sum(c for _, _, c in transcript.round1)
-        recv1 = sum(transcript.cross_symbols(rack) for rack in failed)
-        sent2 = sum(c for _, _, c in transcript.round2)
-        if sent1 + sent2 != recv1:
-            raise ScenarioError(f"round {idx}: ledger imbalance (sent != received)")
-        cross = {rack: transcript.cross_symbols(rack) for rack in sorted(failed)}
-        for rack, got in cross.items():
-            if got != gamma:
-                raise ScenarioError(
-                    f"round {idx}: rack {rack} moved {got} cross-rack symbols, "
-                    f"expected gamma = {gamma}"
-                )
+        try:
+            transcript = repair_round(spec, state, rnd)
+        except ScenarioError as exc:
+            raise ScenarioError(f"round {idx}: {exc}") from None
+        cross = {rack: transcript.cross_symbols(rack) for rack in rnd.racks}
         for key, val in transcript.intra_rack.items():
             report.intra_totals[key] = report.intra_totals.get(key, 0) + val
         report.per_round_cross.append(cross)
         report.lines.append(
-            f"round {idx}: failed {sorted(failed)} helpers {list(rnd.helpers)} "
+            f"round {idx}: failed {list(rnd.racks)} helpers {list(rnd.helpers)} "
             f"cross-rack per rack = {sorted(set(cross.values()))}"
         )
     for probe in scenario.probes:

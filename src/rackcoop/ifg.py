@@ -16,21 +16,18 @@ an independent oracle for the composition-indexed bound in
 
 from __future__ import annotations
 
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .params import CodeParams
+from .params import CodeParams, RepairPatternError, RepairStage
 from .tradeoff import Composition, compositions
 
 SOURCE = ("S",)
 SINK = ("T",)
-
-
-class HistoryError(ValueError):
-    pass
 
 
 class CollectorError(ValueError):
@@ -39,60 +36,6 @@ class CollectorError(ValueError):
 
 class UnboundedFlowError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class RepairStage:
-    """One repair round: ``failed`` maps each rack of the group to the e/f
-    node indices replaced in it; ``helpers`` are the d assisting racks."""
-
-    failed: tuple[tuple[int, tuple[int, ...]], ...]
-    helpers: tuple[int, ...]
-
-    @classmethod
-    def make(cls, failed, helpers) -> "RepairStage":
-        if isinstance(failed, dict):
-            items = failed.items()
-        else:
-            items = failed
-        norm = tuple(sorted((int(rack), tuple(sorted(int(i) for i in idxs)))
-                            for rack, idxs in items))
-        return cls(failed=norm, helpers=tuple(sorted(int(h) for h in helpers)))
-
-    @property
-    def racks(self) -> tuple[int, ...]:
-        return tuple(rack for rack, _ in self.failed)
-
-    def failed_nodes(self, rack: int) -> tuple[int, ...]:
-        for rk, idxs in self.failed:
-            if rk == rack:
-                return idxs
-        raise KeyError(rack)
-
-
-def validate_history(p: CodeParams, history) -> tuple[RepairStage, ...]:
-    stages = tuple(history)
-    for s, stage in enumerate(stages, start=1):
-        racks = stage.racks
-        if len(set(racks)) != p.f:
-            raise HistoryError(f"stage {s}: repair group must be {p.f} distinct racks")
-        for rack, idxs in stage.failed:
-            if not 1 <= rack <= p.r:
-                raise HistoryError(f"stage {s}: rack {rack} out of range")
-            if len(set(idxs)) != p.failures_per_rack:
-                raise HistoryError(
-                    f"stage {s}: rack {rack} needs {p.failures_per_rack} failed nodes"
-                )
-            if any(not 1 <= i <= p.nodes_per_rack for i in idxs):
-                raise HistoryError(f"stage {s}: node index out of range in rack {rack}")
-        helpers = stage.helpers
-        if len(set(helpers)) != p.d:
-            raise HistoryError(f"stage {s}: need {p.d} distinct helper racks")
-        if any(not 1 <= h <= p.r for h in helpers):
-            raise HistoryError(f"stage {s}: helper rack out of range")
-        if set(helpers) & set(racks):
-            raise HistoryError(f"stage {s}: helpers overlap the repair group")
-    return stages
 
 
 @dataclass
@@ -137,7 +80,12 @@ def build(p: CodeParams, alpha, beta1, beta2, history, collector) -> FlowGraph:
     alpha, beta1, beta2 = Fraction(alpha), Fraction(beta1), Fraction(beta2)
     if min(alpha, beta1, beta2) < 0:
         raise ValueError("capacities must be nonnegative")
-    stages = validate_history(p, history)
+    stages = tuple(history)
+    for s, stage in enumerate(stages, start=1):
+        try:
+            stage.validate(p)
+        except RepairPatternError as exc:
+            raise RepairPatternError(f"stage {s}: {exc}") from None
     npr = p.nodes_per_rack
 
     edges: list[tuple[tuple, tuple, Fraction | None]] = []
@@ -212,7 +160,7 @@ def max_flow(g: FlowGraph) -> Fraction:
     denom = 1
     for _, _, cap in g.edges:
         if cap is not None:
-            denom = denom * cap.denominator // _gcd(denom, cap.denominator)
+            denom = math.lcm(denom, cap.denominator)
     finite_total = sum(int(cap * denom) for _, _, cap in g.edges if cap is not None)
     sentinel = finite_total + 1
 
@@ -276,12 +224,6 @@ def max_flow(g: FlowGraph) -> Fraction:
     return Fraction(flow, denom)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 class Scenario(NamedTuple):
     history: tuple[RepairStage, ...]
     collector: tuple[tuple[int, int], ...]
@@ -326,15 +268,7 @@ def canonical_scenario(p: CodeParams, u: Composition) -> Scenario:
 def random_scenario(p: CodeParams, rng: random.Random, max_stages: int) -> Scenario:
     npr = p.nodes_per_rack
     n_stages = rng.randint(1, max_stages)
-    stages = []
-    for _ in range(n_stages):
-        group = rng.sample(range(1, p.r + 1), p.f)
-        helpers = rng.sample([h for h in range(1, p.r + 1) if h not in group], p.d)
-        failed = {
-            rack: tuple(rng.sample(range(1, npr + 1), p.failures_per_rack))
-            for rack in group
-        }
-        stages.append(RepairStage.make(failed, helpers))
+    stages = [RepairStage.random(p, rng) for _ in range(n_stages)]
     # Collector pruning: a relayer alone forces the whole rack into the cut,
     # so collectors take whole racks first and top up with non-relayers.
     racks = list(range(1, p.r + 1))

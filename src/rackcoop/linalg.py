@@ -58,9 +58,6 @@ class Matrix:
     def cols(self) -> int:
         return self.data.shape[1]
 
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i].copy()
-
     def column(self, j: int) -> np.ndarray:
         return self.data[:, j].copy()
 
@@ -90,17 +87,8 @@ def _same_field(a: Matrix, b: Matrix) -> Field:
     return a.field
 
 
-def identity(field: Field, n: int) -> Matrix:
-    return Matrix(field, np.eye(n, dtype=np.int64))
-
-
 def zeros(field: Field, rows: int, cols: int) -> Matrix:
     return Matrix(field, np.zeros((rows, cols), dtype=np.int64))
-
-
-def random_matrix(field: Field, rows: int, cols: int, rng: random.Random) -> Matrix:
-    data = [[rng.randrange(field.order) for _ in range(cols)] for _ in range(rows)]
-    return Matrix(field, np.array(data, dtype=np.int64))
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -167,29 +155,26 @@ def rank(a: Matrix) -> int:
     return len(_rref(a.field, m))
 
 
-def is_invertible(a: Matrix) -> bool:
-    return a.rows == a.cols and rank(a) == a.rows
-
-
-def solve(a: Matrix, b) -> np.ndarray:
-    """Solve ``a @ x = b`` for square invertible ``a``."""
-    if a.rows != a.cols:
-        raise DimensionError(f"solve needs a square matrix, got {a.rows}x{a.cols}")
+def _reduce_augmented(a: Matrix, b):
+    """Reduced ``[a | b]``, the rank of ``a``, and whether ``b`` is a vector."""
     b = np.asarray(b, dtype=np.int64)
     vector = b.ndim == 1
     rhs = b[:, None] if vector else b
     if rhs.shape[0] != a.rows:
         raise DimensionError(f"rhs has {rhs.shape[0]} rows, expected {a.rows}")
     aug = np.hstack([a.data.copy(), rhs.copy()])
-    pivots = _rref(a.field, aug, col_limit=a.cols)
-    if len(pivots) < a.cols:
-        raise SingularMatrixError(f"matrix is singular (rank {len(pivots)} < {a.cols})")
+    return aug, len(_rref(a.field, aug, col_limit=a.cols)), vector
+
+
+def solve(a: Matrix, b) -> np.ndarray:
+    """Solve ``a @ x = b`` for square invertible ``a``."""
+    if a.rows != a.cols:
+        raise DimensionError(f"solve needs a square matrix, got {a.rows}x{a.cols}")
+    aug, rk, vector = _reduce_augmented(a, b)
+    if rk < a.cols:
+        raise SingularMatrixError(f"matrix is singular (rank {rk} < {a.cols})")
     x = aug[:, a.cols :]
     return x[:, 0] if vector else x
-
-
-def inverse(a: Matrix) -> Matrix:
-    return Matrix(a.field, solve(a, np.eye(a.rows, dtype=np.int64)))
 
 
 def solve_full_rank(a: Matrix, b) -> np.ndarray:
@@ -198,17 +183,9 @@ def solve_full_rank(a: Matrix, b) -> np.ndarray:
     Raises ``SingularMatrixError`` when the column rank is deficient and
     ``LinalgError`` when the system is inconsistent.
     """
-    b = np.asarray(b, dtype=np.int64)
-    vector = b.ndim == 1
-    rhs = b[:, None] if vector else b
-    if rhs.shape[0] != a.rows:
-        raise DimensionError(f"rhs has {rhs.shape[0]} rows, expected {a.rows}")
-    aug = np.hstack([a.data.copy(), rhs.copy()])
-    pivots = _rref(a.field, aug, col_limit=a.cols)
-    if len(pivots) < a.cols:
-        raise SingularMatrixError(
-            f"column rank {len(pivots)} < {a.cols}, system underdetermined"
-        )
+    aug, rk, vector = _reduce_augmented(a, b)
+    if rk < a.cols:
+        raise SingularMatrixError(f"column rank {rk} < {a.cols}, system underdetermined")
     if np.any(aug[a.cols :, a.cols :]):
         raise LinalgError("inconsistent linear system")
     x = aug[: a.cols, a.cols :]

@@ -85,6 +85,67 @@ def validate(n: int, k: int, d: int, r: int, e: int, f: int) -> CodeParams:
     )
 
 
+class RepairPatternError(ValueError):
+    """A repair stage that does not fit the failure model."""
+
+
+@dataclass(frozen=True)
+class RepairStage:
+    """One repair round: ``failed`` maps each rack of the group to the e/f
+    node indices replaced in it; ``helpers`` are the d assisting racks."""
+
+    failed: tuple[tuple[int, tuple[int, ...]], ...]
+    helpers: tuple[int, ...]
+
+    @classmethod
+    def make(cls, failed, helpers) -> "RepairStage":
+        items = failed.items() if isinstance(failed, dict) else failed
+        norm = tuple(sorted((int(rack), tuple(sorted(int(i) for i in idxs)))
+                            for rack, idxs in items))
+        return cls(failed=norm, helpers=tuple(sorted(int(h) for h in helpers)))
+
+    @classmethod
+    def random(cls, p: CodeParams, rng) -> "RepairStage":
+        """Seeded stage: draws the failed racks, then the helpers, then each
+        failed rack's nodes."""
+        racks = rng.sample(range(1, p.r + 1), p.f)
+        helpers = rng.sample([h for h in range(1, p.r + 1) if h not in racks], p.d)
+        failed = {
+            rack: rng.sample(range(1, p.nodes_per_rack + 1), p.failures_per_rack)
+            for rack in racks
+        }
+        return cls.make(failed, helpers)
+
+    @property
+    def racks(self) -> tuple[int, ...]:
+        return tuple(rack for rack, _ in self.failed)
+
+    def validate(self, p: CodeParams) -> "RepairStage":
+        """Check the stage against ``p``; raises ``RepairPatternError``."""
+        if not _distinct(self.racks, p.f):
+            raise RepairPatternError(f"need failures in exactly {p.f} distinct racks")
+        for rack, idxs in self.failed:
+            if not 1 <= rack <= p.r:
+                raise RepairPatternError(f"rack {rack} out of range")
+            if not _distinct(idxs, p.failures_per_rack):
+                raise RepairPatternError(
+                    f"rack {rack} must lose exactly {p.failures_per_rack} distinct nodes"
+                )
+            if any(not 1 <= i <= p.nodes_per_rack for i in idxs):
+                raise RepairPatternError(f"node index out of range in rack {rack}")
+        if not _distinct(self.helpers, p.d):
+            raise RepairPatternError(f"need exactly {p.d} distinct helper racks")
+        if any(not 1 <= h <= p.r for h in self.helpers):
+            raise RepairPatternError("helper rack out of range")
+        if set(self.helpers) & set(self.racks):
+            raise RepairPatternError("helper racks must be disjoint from failed racks")
+        return self
+
+
+def _distinct(values, count: int) -> bool:
+    return len(values) == len(set(values)) == count
+
+
 @dataclass(frozen=True)
 class TradeoffPoint:
     """One (alpha, beta1, beta2) operating point with its bandwidth and file size."""

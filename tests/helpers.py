@@ -4,7 +4,12 @@ import itertools
 import random
 from functools import lru_cache
 
-from rackcoop import params
+import numpy as np
+
+from rackcoop import linalg, params
+from rackcoop.codec import CodeSpec, global_symbols
+from rackcoop.field import Field
+from rackcoop.linalg import Matrix
 
 
 @lru_cache(maxsize=None)
@@ -56,3 +61,39 @@ def all_k_subsets(p):
         for node in range(1, p.nodes_per_rack + 1)
     ]
     return itertools.combinations(ids, p.k)
+
+
+def identity(field: Field, n: int) -> Matrix:
+    return Matrix(field, np.eye(n, dtype=np.int64))
+
+
+def random_matrix(field: Field, rows: int, cols: int, rng: random.Random) -> Matrix:
+    data = [[rng.randrange(field.order) for _ in range(cols)] for _ in range(rows)]
+    return Matrix(field, np.array(data, dtype=np.int64))
+
+
+# -- the paper's product-matrix formula, as a reference for the generator ----
+
+
+def message_matrices(spec: CodeSpec, message) -> list[Matrix]:
+    """The e/f structured message matrices M_i filled from the outer code."""
+    g = global_symbols(spec, message)
+    return [_assemble_mm(spec, g, i) for i in range(1, spec.matrices_per_rack + 1)]
+
+
+def _assemble_mm(spec: CodeSpec, g: np.ndarray, i: int) -> Matrix:
+    p = spec.params
+    data = np.zeros((p.d, p.d + p.f), dtype=np.int64)
+    for row in range(p.d):
+        for col in range(p.d + p.f):
+            src = spec.message_matrix_col(i, row, col)
+            if src is not None:
+                data[row, col] = g[src]
+    return Matrix(spec.field, data)
+
+
+def mbcr_vector(spec: CodeSpec, mm: Matrix, rack: int) -> np.ndarray:
+    """The full 2d+f product-matrix vector [M_i v_l ; M_i^T u_l]."""
+    top = linalg.mat_vec(mm, spec.v_col(rack))
+    bottom = linalg.mat_vec(linalg.transpose(mm), spec.u_col(rack))
+    return np.concatenate([top, bottom])

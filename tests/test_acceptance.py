@@ -11,7 +11,14 @@ from fractions import Fraction as Fr
 
 import numpy as np
 
-from helpers import all_k_subsets, all_valid_tuples, brute_force_compositions, sample_tuples
+from helpers import (
+    all_k_subsets,
+    all_valid_tuples,
+    brute_force_compositions,
+    mbcr_vector,
+    message_matrices,
+    sample_tuples,
+)
 from rackcoop import cli, codec, ifg, linalg, params, tradeoff
 
 BASE = params.validate(8, 4, 2, 4, 2, 2)
@@ -165,12 +172,12 @@ def test_criterion_06_dependence_relation(base_spec):
             [rng.randrange(256) for _ in range(base_spec.file_size)], dtype=np.int64
         )
         state = codec.encode(base_spec, msg)
-        mms = codec.message_matrices(base_spec, msg)
+        mms = message_matrices(base_spec, msg)
         for rack in range(1, 5):
             clean = codec.strip_parities(base_spec, rack, state)
             for i, vec in clean.items():
                 completed = codec.complete_mbcr_vector(base_spec, rack, vec)
-                direct = codec.mbcr_vector(base_spec, mms[i - 1], rack)
+                direct = mbcr_vector(base_spec, mms[i - 1], rack)
                 assert np.array_equal(completed, direct)
     _passed(6, "dropped-symbol identity holds for 100 messages, all racks")
 

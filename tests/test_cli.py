@@ -155,3 +155,31 @@ def test_bench_smoke(capsys):
     out = capsys.readouterr().out
     assert "2 repair rounds" in out
     assert "probes recovered: 3/3" in out
+
+
+def _encode_cluster(tmp_path):
+    src = tmp_path / "message.bin"
+    src.write_bytes(b"hello")
+    cluster = tmp_path / "cluster"
+    assert run_cli("encode", "--params", "8,4,2,4,2,2", "--seed", "7",
+                   "--in", str(src), "--out", str(cluster)) == 0
+    return cluster
+
+
+def test_collect_out_of_range_node_exit_1(tmp_path, capsys):
+    cluster = _encode_cluster(tmp_path)
+    code = run_cli("collect", "--out", str(cluster),
+                   "--nodes", "1:2,2:2,3:2,9:1", "--recover", str(tmp_path / "o"))
+    assert code == 1
+    assert "(9, 1) out of range" in capsys.readouterr().err
+
+
+def test_repair_out_of_range_rack_exit_1(tmp_path, capsys):
+    cluster = _encode_cluster(tmp_path)
+    before = {f: f.read_bytes() for f in sorted(cluster.rglob("*")) if f.is_file()}
+    code = run_cli("repair", "--dir", str(cluster),
+                   "--racks", "9,1", "--nodes", "1", "--helpers", "3,4")
+    assert code == 1
+    assert "rack 9 out of range" in capsys.readouterr().err
+    # validated before any node was erased: the cluster is untouched
+    assert {f: f.read_bytes() for f in sorted(cluster.rglob("*")) if f.is_file()} == before

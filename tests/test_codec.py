@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import all_k_subsets
+from helpers import all_k_subsets, mbcr_vector, message_matrices
 from rackcoop import codec, field, linalg, params
 from rackcoop.codec import (
     CodeBuildError,
@@ -17,8 +17,6 @@ from rackcoop.codec import (
     complete_mbcr_vector,
     encode,
     global_symbols,
-    mbcr_vector,
-    message_matrices,
     repair,
     stack_functionals,
     strip_parities,
@@ -37,6 +35,13 @@ def erase_pattern(state, failed):
     for rack, idxs in failed.items():
         for i in idxs:
             state.erase(rack, i)
+
+
+@pytest.fixture(scope="module")
+def two_matrix_spec():
+    """e/f = 2: two product matrices per rack."""
+    p = params.validate(16, 8, 2, 4, 4, 2)
+    return build_code(p, field.gf256(), seed=3, subset_samples=200)
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +191,33 @@ def test_encode_wrong_length(base_spec):
         encode(base_spec, np.zeros(17, dtype=np.int64))
 
 
+def test_generator_matches_paper_formula(base_spec, two_matrix_spec):
+    """Every generator column (the code of a unit message) matches the
+    paper's layout: a product-matrix node holds the first alpha entries of
+    [M_i v_l ; M_i^T u_l] + P_{i,l} c_l, a global node its slice of G^T m."""
+    for spec in (base_spec, two_matrix_spec):
+        epf = spec.matrices_per_rack
+        ids = list(itertools.product(range(1, spec.params.r + 1),
+                                     range(1, spec.params.nodes_per_rack + 1)))
+        for j in range(spec.file_size):
+            msg = np.zeros(spec.file_size, dtype=np.int64)
+            msg[j] = 1
+            column = spec.generator.column(j)
+            g = global_symbols(spec, msg)
+            mms = message_matrices(spec, msg)
+            for rack, node in ids:
+                if node > epf:
+                    start = spec.global_col(rack, node - epf)
+                    want = g[start : start + spec.alpha]
+                else:
+                    c_l = g[spec.rack_global_slice(rack)]
+                    want = spec.field.vec_add(
+                        mbcr_vector(spec, mms[node - 1], rack),
+                        linalg.mat_vec(spec.P[node - 1][rack - 1], c_l),
+                    )[: spec.alpha]
+                assert np.array_equal(column[spec.node_rows(rack, node)], want), (j, rack, node)
+
+
 def test_dropped_symbol_dependence_relation(base_spec, base_message, base_state):
     """The unstored (2d+f)-th product-matrix symbol reconstructed from the
     stored ones equals its direct computation from the message."""
@@ -211,6 +243,20 @@ def test_collect_every_k_subset(base_spec, base_message, base_state):
     for subset in all_k_subsets(base_spec.params):
         got = collect(base_spec, base_state, subset)
         assert np.array_equal(got, base_message), subset
+
+
+def test_corrupt_collector_symbol_detected(base_spec, base_state):
+    """The k*alpha - B redundant collector symbols catch a flipped bit in any
+    collector node, on the all-global and on a mixed collector."""
+    for collector in ([(1, 2), (2, 2), (3, 2), (4, 2)], [(1, 1), (2, 2), (3, 1), (4, 2)]):
+        for rack, node in collector:
+            for pos in range(base_spec.alpha):
+                state = base_state.clone()
+                symbols = state.node(rack, node).copy()
+                symbols[pos] ^= 1
+                state.set_node(rack, node, symbols)
+                with pytest.raises(CodeIntegrityError, match="inconsistent"):
+                    collect(base_spec, state, collector)
 
 
 def test_collect_wrong_count(base_spec, base_state):
@@ -369,10 +415,9 @@ def test_prime_field_roundtrip(base_params):
     assert np.array_equal(collect(spec, state, [(1, 1), (2, 1), (3, 2), (4, 2)]), msg)
 
 
-def test_two_failures_per_rack_tuple():
+def test_two_failures_per_rack_tuple(two_matrix_spec):
     """e/f = 2: two product matrices, mixed node-type failures."""
-    p = params.validate(16, 8, 2, 4, 4, 2)
-    spec = build_code(p, field.gf256(), seed=3, subset_samples=200)
+    spec = two_matrix_spec
     msg = random_message(spec, 8)
     reference = encode(spec, msg)
     rng = random.Random(8)

@@ -4,13 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from rackcoop import codec, harness, params
+from rackcoop import codec, harness, ifg, params
+from rackcoop.params import RepairStage
 from rackcoop.harness import (
     ClusterIntegrityError,
     LayoutVersionError,
     Scenario,
     ScenarioError,
-    ScenarioRound,
     load,
     random_scenario,
     run_scenario,
@@ -108,7 +108,7 @@ def test_scenario_bad_helper_count_rejected(base_spec, base_message):
     state = codec.encode(base_spec, base_message)
     bad = Scenario(
         seed=0,
-        rounds=(ScenarioRound.make({1: (1,), 2: (1,)}, (3, 4, 2)),),
+        rounds=(RepairStage.make({1: (1,), 2: (1,)}, (3, 4, 2)),),
         probes=(),
     )
     with pytest.raises(codec.RepairPatternError):
@@ -129,8 +129,28 @@ def test_random_scenario_rounds_admissible(base_spec):
     for seed in range(5):
         sc = random_scenario(p, seed=seed, n_rounds=4, n_probes=2)
         for rnd in sc.rounds:
-            failed = rnd.failed_map()
+            failed = dict(rnd.failed)
             assert len(failed) == p.f
             assert all(len(v) == p.failures_per_rack for v in failed.values())
             assert len(rnd.helpers) == p.d
             assert not set(rnd.helpers) & set(failed)
+
+
+def test_seeded_samplers_pinned():
+    """Scenarios and oracle stages share one sampler that draws the failed
+    racks, then the helpers, then each rack's nodes; seeded clusters and
+    oracle witnesses depend on that order, so it is pinned here."""
+    p = params.validate(8, 4, 2, 4, 2, 2)
+    sc = random_scenario(p, 0, 3, 2)
+    assert sc.rounds == (
+        RepairStage(failed=((2, (2,)), (4, (2,))), helpers=(1, 3)),
+        RepairStage(failed=((2, (2,)), (3, (1,))), helpers=(1, 4)),
+        RepairStage(failed=((1, (1,)), (2, (2,))), helpers=(3, 4)),
+    )
+    assert sc.probes == (((1, 2), (2, 1), (3, 2), (4, 1)), ((1, 1), (2, 1), (3, 1), (4, 2)))
+    oracle = ifg.random_scenario(p, random.Random(0), 2)
+    assert oracle.history == (
+        RepairStage(failed=((1, (2,)), (4, (2,))), helpers=(2, 3)),
+        RepairStage(failed=((2, (1,)), (4, (2,))), helpers=(1, 3)),
+    )
+    assert oracle.collector == ((4, 1), (4, 2), (2, 1), (2, 2))

@@ -7,14 +7,13 @@ from rackcoop import ifg, params, tradeoff
 from rackcoop.ifg import (
     CollectorError,
     FlowGraph,
-    HistoryError,
-    RepairStage,
     UnboundedFlowError,
     build,
     canonical_scenario,
     max_flow,
     worst_case_mincut,
 )
+from rackcoop.params import RepairPatternError, RepairStage
 
 
 @pytest.fixture(scope="module")
@@ -131,13 +130,13 @@ def test_collector_latest_incarnation_enforced(p):
 
 
 def test_history_validation(p):
-    with pytest.raises(HistoryError):
+    with pytest.raises(RepairPatternError, match="stage 1"):
         build(p, 5, 2, 1, [RepairStage.make({1: (1,)}, (3, 4))], [])
-    with pytest.raises(HistoryError):
+    with pytest.raises(RepairPatternError, match="stage 1"):
         build(p, 5, 2, 1, [RepairStage.make({1: (1,), 2: (1,)}, (2, 4))], [])
-    with pytest.raises(HistoryError):
+    with pytest.raises(RepairPatternError, match="stage 1"):
         build(p, 5, 2, 1, [RepairStage.make({1: (1,), 2: (1,)}, (3,))], [])
-    with pytest.raises(HistoryError):
+    with pytest.raises(RepairPatternError, match="stage 1"):
         build(p, 5, 2, 1, [RepairStage.make({1: (1, 2), 2: (1,)}, (3, 4))], [])
 
 

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from helpers import identity, random_matrix
 from rackcoop import linalg
 from rackcoop.field import gf256, prime_field
 from rackcoop.linalg import (
@@ -14,11 +15,9 @@ from rackcoop.linalg import (
     cauchy,
     check_U_property,
     check_V_property,
-    identity,
     matmul,
     mds_generator,
     rank,
-    random_matrix,
     solve,
     transpose,
     vandermonde,

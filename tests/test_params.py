@@ -7,6 +7,8 @@ from helpers import all_valid_tuples, sample_tuples
 from rackcoop import params
 from rackcoop.params import (
     ParameterError,
+    RepairPatternError,
+    RepairStage,
     construction_params,
     mbrcr_point,
     msrcr_point,
@@ -164,3 +166,26 @@ def test_corner_ordering_and_structure():
 
 def test_enumeration_is_desk_scale():
     assert len(all_valid_tuples()) >= 50
+
+
+# ---------------------------------------------------------------------------
+# repair stages
+# ---------------------------------------------------------------------------
+
+def test_repair_stage_validate():
+    p = validate(8, 4, 2, 4, 2, 2)
+    ok = RepairStage.make({1: (1,), 2: (2,)}, (3, 4))
+    assert ok.validate(p) is ok
+    bad = [
+        ({1: (1,)}, (3, 4), "exactly 2 distinct racks"),
+        (((1, (1,)), (1, (2,))), (3, 4), "exactly 2 distinct racks"),
+        ({1: (1,), 9: (1,)}, (3, 4), "rack 9 out of range"),
+        ({1: (1, 1), 2: (1,)}, (3, 4), "distinct nodes"),
+        ({1: (3,), 2: (1,)}, (3, 4), "node index out of range"),
+        ({1: (1,), 2: (1,)}, (3, 3), "helper racks"),
+        ({1: (1,), 2: (1,)}, (3, 9), "helper rack out of range"),
+        ({1: (1,), 2: (1,)}, (2, 3), "disjoint"),
+    ]
+    for failed, helpers, match in bad:
+        with pytest.raises(RepairPatternError, match=match):
+            RepairStage.make(failed, helpers).validate(p)
