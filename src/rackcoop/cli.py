@@ -59,6 +59,19 @@ def _parse_params(text: str) -> params_mod.CodeParams:
         raise CliError(f"invalid parameters: {exc}") from None
 
 
+def _count(minimum: int):
+    """argparse ``type=`` for an integer option >= ``minimum``; argparse
+    reports a rejected value through ``_Parser.error``, i.e. as ``CliError``."""
+
+    def count(text: str) -> int:
+        value = int(text)  # a ValueError reads "invalid count value: ..."
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return count
+
+
 def _parse_rational(text: str, name: str) -> Fraction:
     try:
         value = Fraction(text)
@@ -322,7 +335,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("tradeoff", help="corner points and tradeoff curve")
     common_params(sp)
     sp.add_argument("--B", required=True, help="file size (rational p/q allowed)")
-    sp.add_argument("--sweep", type=int, default=0, metavar="STEPS")
+    sp.add_argument("--sweep", type=_count(0), default=0, metavar="STEPS")
     sp.add_argument("--csv", default=None)
     sp.set_defaults(func=_cmd_tradeoff)
 
@@ -331,14 +344,14 @@ def build_parser() -> _Parser:
     sp.add_argument("--alpha", required=True)
     sp.add_argument("--beta1", required=True)
     sp.add_argument("--beta2", required=True)
-    sp.add_argument("--max-stages", type=int, default=None)
+    sp.add_argument("--max-stages", type=_count(1), default=None)
     sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(func=_cmd_verify_mincut)
 
     sp = sub.add_parser("bench", help="seeded failure rounds with accounting")
     common_params(sp)
-    sp.add_argument("--rounds", type=int, default=5)
-    sp.add_argument("--probes", type=int, default=10)
+    sp.add_argument("--rounds", type=_count(0), default=5)
+    sp.add_argument("--probes", type=_count(0), default=10)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--field", default=None)
     sp.set_defaults(func=_cmd_bench)

@@ -29,7 +29,6 @@ encode and collect are derived from it.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -285,7 +284,7 @@ def default_field(p: CodeParams) -> Field:
     return _field_candidates(p)[0]()
 
 
-def build_default_code(p: CodeParams, seed: int, **kwargs) -> CodeSpec:
+def build_default_code(p: CodeParams, seed: int) -> CodeSpec:
     """Build with the default field policy.
 
     GF(2^8) is used while the outer code fits and all rank checks pass;
@@ -295,7 +294,7 @@ def build_default_code(p: CodeParams, seed: int, **kwargs) -> CodeSpec:
     last: CodeBuildError | None = None
     for make in _field_candidates(p):
         try:
-            return build_code(p, make(), seed, **kwargs)
+            return build_code(p, make(), seed)
         except UnsupportedParametersError:
             raise
         except CodeBuildError as exc:
@@ -362,22 +361,19 @@ def structural_recovery_deficiency(p: CodeParams):
     return int(support), tuple(witness)
 
 
-def build_code(
-    p: CodeParams,
-    field: Field,
-    seed: int,
-    *,
-    max_attempts: int = 24,
-    subset_limit: int = 10_000,
-    subset_samples: int = 1_000,
-) -> CodeSpec:
+MAX_ATTEMPTS = 24
+
+
+def build_code(p: CodeParams, field: Field, seed: int) -> CodeSpec:
     """Generate and verify a code instance; deterministic in ``seed``.
 
     The first attempt uses structured choices (Vandermonde point runs and a
     Cauchy parity stack); later attempts resample points, and the last half
-    falls back to fully random dense parity maps.  Every attempt is checked
-    for the U/V submatrix-rank properties, the per-rack vector-MDS property
-    and the rank-B collector property before being accepted.
+    falls back to fully random dense parity maps.  The outer code G is
+    Vandermonde on distinct points, which certifies its MDS property for
+    every column subset.  Every attempt is checked for the U/V
+    submatrix-rank properties, the per-rack vector-MDS property and the
+    rank-B collector property before being accepted.
     """
     layout = construction_params(p)
     if p.failures_per_rack >= p.nodes_per_rack:
@@ -400,12 +396,12 @@ def build_code(
         )
     rng = random.Random(seed)
     failures: list[str] = []
-    for attempt in range(max_attempts):
-        g, u, v, parities = _candidate(p, field, layout, rng, attempt, max_attempts)
+    for attempt in range(MAX_ATTEMPTS):
+        g, u, v, parities = _candidate(p, field, layout, rng, attempt)
         spec = CodeSpec(
             params=p, field=field, G=g, U=u, V=v, P=parities, seed=seed, layout=layout
         )
-        problem = _verify_spec(spec, subset_limit, subset_samples)
+        problem = _verify_spec(spec)
         if problem is None:
             return spec
         failures.append(f"attempt {attempt}: {problem}")
@@ -414,7 +410,7 @@ def build_code(
     )
 
 
-def _candidate(p, field, layout, rng, attempt, max_attempts):
+def _candidate(p, field, layout, rng, attempt):
     q = field.order
     n_pts, r = layout.n_global, p.r
     epf, w = p.failures_per_rack, p.nodes_per_rack - p.failures_per_rack
@@ -427,11 +423,15 @@ def _candidate(p, field, layout, rng, attempt, max_attempts):
     else:
         g_points = rng.sample(range(1, q), n_pts)
         uv_points = rng.sample(range(1, q), r)
-    g = linalg.mds_generator(layout.file_size, n_pts, field, points=g_points, seed=rng.randrange(2**32))
+    # Layout-v1 clusters store only the seed and rebuild the code from it,
+    # so the draws must stay in order: this one, whose value is unused,
+    # keeps every later parity and point draw where earlier builds had it.
+    rng.randrange(2**32)
+    g = linalg.vandermonde(layout.file_size, g_points, field)
     u = linalg.vandermonde(p.d, uv_points, field)
     v = linalg.vandermonde(p.d + p.f, uv_points, field)
 
-    dense = attempt >= max_attempts // 2
+    dense = attempt >= MAX_ATTEMPTS // 2
     parities = []
     for i in range(1, epf + 1):
         row = []
@@ -448,17 +448,14 @@ def _candidate(p, field, layout, rng, attempt, max_attempts):
                 else:
                     cs = rng.sample(range(q), epf + w)
                 lam = linalg.cauchy(field, cs[:epf], cs[epf:])
-                pm = np.zeros((layout.alpha, w * layout.alpha), dtype=np.int64)
-                for t in range(w):
-                    for pos in range(layout.alpha):
-                        pm[pos, t * layout.alpha + pos] = lam.data[i - 1, t]
+                pm = np.kron(lam.data[i - 1], np.eye(layout.alpha, dtype=np.int64))
             full = np.vstack([pm, np.zeros((1, w * layout.alpha), dtype=np.int64)])
             row.append(Matrix(field, full))
         parities.append(tuple(row))
     return g, u, v, tuple(parities)
 
 
-def _verify_spec(spec: CodeSpec, subset_limit: int, subset_samples: int) -> str | None:
+def _verify_spec(spec: CodeSpec) -> str | None:
     p = spec.params
     if not linalg.check_U_property(spec.U, p.m, p.d):
         return "U submatrix-rank property failed"
@@ -473,7 +470,7 @@ def _verify_spec(spec: CodeSpec, subset_limit: int, subset_samples: int) -> str 
     for rack in range(1, p.r + 1):
         if not _rack_vector_mds(spec, rack):
             return f"vector-MDS property failed in rack {rack}"
-    bad = _collector_rank_problem(spec, subset_limit, subset_samples)
+    bad = _collector_rank_problem(spec)
     if bad is not None:
         return f"collector rank deficient for nodes {bad}"
     return None
@@ -526,17 +523,12 @@ def recover_rack_globals(spec: CodeSpec, rack: int, available: dict) -> np.ndarr
         raise CodeIntegrityError(f"vector-MDS solve failed in rack {rack}") from exc
 
 
-def _collector_rank_problem(spec, subset_limit, subset_samples):
+def _collector_rank_problem(spec):
     p = spec.params
     ids = [(rack, node) for rack in range(1, p.r + 1)
            for node in range(1, p.nodes_per_rack + 1)]
-    total = math.comb(len(ids), p.k)
-    if total <= subset_limit:
-        subsets = itertools.combinations(ids, p.k)
-    else:
-        srng = random.Random(spec.seed ^ 0x5EED)
-        subsets = (tuple(sorted(srng.sample(ids, p.k))) for _ in range(subset_samples))
-    for subset in subsets:
+    for idx in linalg._subsets(len(ids), p.k, spec.seed ^ 0x5EED):
+        subset = tuple(ids[j] for j in idx)
         if linalg.rank(stack_functionals(spec, subset)) != spec.file_size:
             return subset
     return None

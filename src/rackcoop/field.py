@@ -105,21 +105,14 @@ class Field:
         arr = np.asarray(values, dtype=np.int64).ravel()
         if arr.size and (arr.min() < 0 or arr.max() >= self.order):
             raise FieldError("value outside field range")
-        out = bytearray()
-        for v in arr.tolist():
-            out += int(v).to_bytes(self.symbol_bytes, "little")
-        return bytes(out)
+        return arr.astype(f"<u{self.symbol_bytes}").tobytes()
 
     def from_bytes(self, data: bytes) -> np.ndarray:
         if len(data) % self.symbol_bytes:
             raise FieldError(
                 f"byte length {len(data)} not a multiple of {self.symbol_bytes}"
             )
-        vals = [
-            int.from_bytes(data[i : i + self.symbol_bytes], "little")
-            for i in range(0, len(data), self.symbol_bytes)
-        ]
-        arr = np.array(vals, dtype=np.int64)
+        arr = np.frombuffer(data, dtype=f"<u{self.symbol_bytes}").astype(np.int64)
         if arr.size and arr.max() >= self.order:
             raise FieldError("decoded value outside field range")
         return arr

@@ -70,6 +70,52 @@ class Manifest:
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
+    @classmethod
+    def from_json(cls, text: str | bytes) -> "Manifest":
+        """Parse a manifest.  A missing or ill-typed field raises
+        ``ClusterIntegrityError`` naming it; parameter values are checked by
+        ``params.validate`` and the field by ``FieldSpec``."""
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise ClusterIntegrityError(f"manifest is not JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ClusterIntegrityError(f"manifest is a JSON {type(doc).__name__}, not an object")
+        if doc.get("layout_version") != LAYOUT_VERSION:
+            raise LayoutVersionError(
+                f"layout version {doc.get('layout_version')!r} unsupported, expected {LAYOUT_VERSION}"
+            )
+        pp = _typed(doc, "params", dict)
+        fd = _typed(doc, "field", dict)
+        erased = _typed(doc, "erased", list)
+        if not all(type(pair) is list and len(pair) == 2 and all(type(x) is int for x in pair)
+                   for pair in erased):
+            raise ClusterIntegrityError("manifest field 'erased' must list [rack, node] pairs")
+        return cls(
+            params=params_mod.validate(
+                *(_typed(pp, key, int, "params.") for key in ("n", "k", "d", "r", "e", "f"))
+            ),
+            field_spec=field_mod.FieldSpec(
+                kind=_typed(fd, "kind", str, "field."),
+                order=_typed(fd, "order", int, "field."),
+                modulus=_typed(fd, "modulus", int, "field."),
+            ),
+            seed=_typed(doc, "seed", int),
+            file_size=_typed(doc, "file_size", int),
+            alpha=_typed(doc, "alpha", int),
+            erased=tuple(tuple(pair) for pair in erased),
+            digest=_typed(doc, "digest", str),
+        )
+
+
+def _typed(doc: dict, key: str, kind: type, prefix: str = ""):
+    value = doc.get(key)
+    if type(value) is not kind:  # JSON values have exact types; refuses true as an int
+        raise ClusterIntegrityError(
+            f"manifest field '{prefix}{key}' is missing or not {kind.__name__}"
+        )
+    return value
+
 
 def _node_path(root: Path, rack: int, node: int) -> Path:
     return root / f"rack_{rack}" / f"node_{node}.bin"
@@ -113,25 +159,17 @@ def save(state: ClusterState, spec: CodeSpec, directory) -> Manifest:
 def load(directory) -> tuple[ClusterState, CodeSpec]:
     root = Path(directory)
     try:
-        doc = json.loads((root / "manifest.json").read_text())
+        manifest = Manifest.from_json((root / "manifest.json").read_bytes())
     except FileNotFoundError:
         raise ClusterIntegrityError(f"no manifest.json in {root}") from None
-    if doc.get("layout_version") != LAYOUT_VERSION:
-        raise LayoutVersionError(
-            f"layout version {doc.get('layout_version')!r} unsupported, expected {LAYOUT_VERSION}"
-        )
-    pp = doc["params"]
-    p = params_mod.validate(pp["n"], pp["k"], pp["d"], pp["r"], pp["e"], pp["f"])
-    fspec = field_mod.FieldSpec(
-        kind=doc["field"]["kind"], order=doc["field"]["order"], modulus=doc["field"]["modulus"]
-    )
-    f = field_mod.from_spec(fspec)
-    spec = codec.build_code(p, f, doc["seed"])
-    if spec.file_size != doc["file_size"] or spec.alpha != doc["alpha"]:
+    p = manifest.params
+    f = field_mod.from_spec(manifest.field_spec)
+    spec = codec.build_code(p, f, manifest.seed)
+    if spec.file_size != manifest.file_size or spec.alpha != manifest.alpha:
         raise ClusterIntegrityError(
             "manifest layout disagrees with the rebuilt code instance"
         )
-    erased = {tuple(pair) for pair in doc["erased"]}
+    erased = set(manifest.erased)
     state = ClusterState(p, f, spec.alpha)
     for rack, node in state.node_ids():
         path = _node_path(root, rack, node)
@@ -149,7 +187,7 @@ def load(directory) -> tuple[ClusterState, CodeSpec]:
                     f"{path} holds {symbols.size} symbols, expected {spec.alpha}"
                 )
             state.set_node(rack, node, symbols)
-    if _digest_nodes(state) != doc["digest"]:
+    if _digest_nodes(state) != manifest.digest:
         raise ClusterIntegrityError("node files do not match the manifest digest")
     return state, spec
 

@@ -9,6 +9,7 @@ the field's ``vec_*`` primitives.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -193,7 +194,12 @@ def solve_full_rank(a: Matrix, b) -> np.ndarray:
 
 
 def vandermonde(rows: int, points, field: Field) -> Matrix:
-    """Matrix with entry (i, j) = points[j]**i."""
+    """Matrix with entry (i, j) = points[j]**i.
+
+    Every rows x rows column submatrix is a square Vandermonde matrix on
+    distinct points and hence invertible, so for rows <= len(points) this is
+    the generator of an MDS code; the distinctness check certifies it.
+    """
     pts = [field.check(p) for p in points]
     if len(set(pts)) != len(pts):
         raise LinalgError("Vandermonde points must be distinct")
@@ -206,94 +212,43 @@ def vandermonde(rows: int, points, field: Field) -> Matrix:
     return Matrix(field, data)
 
 
-def mds_generator(
-    b_dim: int,
-    n: int,
-    field: Field,
-    points=None,
-    *,
-    exhaustive_limit: int = 2000,
-    samples: int = 300,
-    seed: int = 0,
-) -> Matrix:
-    """Generator of an MDS code: every b_dim x b_dim column submatrix invertible.
-
-    Realized as a Vandermonde matrix on distinct nonzero points, which makes
-    the property structural; it is still verified (exhaustively while the
-    number of column subsets stays below ``exhaustive_limit``, by seeded
-    sampling otherwise).
-    """
-    if b_dim > n:
-        raise DimensionError(f"b_dim {b_dim} exceeds length {n}")
-    if points is None:
-        if n > field.order - 1:
-            raise LinalgError(f"length {n} too large for field of order {field.order}")
-        points = list(range(1, n + 1))
-    else:
-        points = list(points)
-        if len(points) != n:
-            raise DimensionError(f"expected {n} points, got {len(points)}")
-        if any(p == 0 for p in points):
-            raise LinalgError("generator points must be nonzero")
-    g = vandermonde(b_dim, points, field)
-    if not verify_mds(g, b_dim, exhaustive_limit=exhaustive_limit, samples=samples, seed=seed):
-        raise LinalgError("generated matrix failed the MDS column check")
-    return g
+# One subset rule for every sampled check: all k-subsets of n while there
+# are at most SUBSET_LIMIT of them, otherwise SUBSET_SAMPLES seeded samples.
+SUBSET_LIMIT = 10_000
+SUBSET_SAMPLES = 1_000
 
 
-def _subsets(n: int, k: int, exhaustive_limit: int, samples: int, seed: int):
-    import math
-
-    total = math.comb(n, k)
-    if total <= exhaustive_limit:
+def _subsets(n: int, k: int, seed: int):
+    if math.comb(n, k) <= SUBSET_LIMIT:
         yield from itertools.combinations(range(n), k)
         return
     rng = random.Random(seed)
-    for _ in range(samples):
+    for _ in range(SUBSET_SAMPLES):
         yield tuple(sorted(rng.sample(range(n), k)))
 
 
-def verify_mds(
-    g: Matrix,
-    b_dim: int,
-    *,
-    exhaustive_limit: int = 2000,
-    samples: int = 300,
-    seed: int = 0,
-) -> bool:
-    if g.rows != b_dim:
-        raise DimensionError(f"matrix has {g.rows} rows, expected {b_dim}")
-    for cols in _subsets(g.cols, b_dim, exhaustive_limit, samples, seed):
-        if rank(g.take_columns(cols)) != b_dim:
-            return False
-    return True
-
-
-def check_U_property(u: Matrix, m: int, d: int, *, exhaustive_limit: int = 10, seed: int = 0) -> bool:
+def check_U_property(u: Matrix, m: int, d: int) -> bool:
     """Every m x m column submatrix of the top m rows invertible, and every
     d x d column submatrix of the whole matrix invertible."""
     if u.rows != d:
         raise DimensionError(f"matrix has {u.rows} rows, expected d={d}")
-    r = u.cols
-    return _top_and_full_check(u, m, d, r, exhaustive_limit, seed)
+    return _top_and_full_check(u, m, d)
 
 
-def check_V_property(v: Matrix, m: int, d: int, f: int, *, exhaustive_limit: int = 10, seed: int = 0) -> bool:
+def check_V_property(v: Matrix, m: int, d: int, f: int) -> bool:
     """Same as the U check with full-size d+f instead of d."""
     if v.rows != d + f:
         raise DimensionError(f"matrix has {v.rows} rows, expected d+f={d + f}")
-    return _top_and_full_check(v, m, d + f, v.cols, exhaustive_limit, seed)
+    return _top_and_full_check(v, m, d + f)
 
 
-def _top_and_full_check(mat: Matrix, m: int, full: int, r: int, exhaustive_limit: int, seed: int) -> bool:
+def _top_and_full_check(mat: Matrix, m: int, full: int) -> bool:
     top = mat.take_rows(range(m))
-    sampled = r > exhaustive_limit
-    limit = 10**9 if not sampled else 0
-    for cols in _subsets(r, m, limit, 200, seed):
+    for cols in _subsets(mat.cols, m, 0):
         if rank(top.take_columns(cols)) != m:
             return False
-    if full <= r:
-        for cols in _subsets(r, full, limit, 200, seed + 1):
+    if full <= mat.cols:
+        for cols in _subsets(mat.cols, full, 1):
             if rank(mat.take_columns(cols)) != full:
                 return False
     return True

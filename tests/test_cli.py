@@ -1,5 +1,8 @@
 import csv
+import json
 import os
+
+import pytest
 
 from rackcoop import cli
 
@@ -183,3 +186,55 @@ def test_repair_out_of_range_rack_exit_1(tmp_path, capsys):
     assert "rack 9 out of range" in capsys.readouterr().err
     # validated before any node was erased: the cluster is untouched
     assert {f: f.read_bytes() for f in sorted(cluster.rglob("*")) if f.is_file()} == before
+
+
+def _set_seed(doc):
+    doc["seed"] = "x"
+
+
+def _drop_params(doc):
+    del doc["params"]
+
+
+def _stringify_n(doc):
+    doc["params"]["n"] = "8"
+
+
+def _scalar_erasure(doc):
+    doc["erased"] = [5]
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_drop_params, "'params'"),
+    (_set_seed, "'seed'"),
+    (_stringify_n, "'params.n'"),
+    (_scalar_erasure, "'erased'"),
+    ("{not json", "not JSON"),
+    ("[1, 2]", "JSON list"),
+])
+def test_collect_malformed_manifest_exit_2(tmp_path, capsys, edit, named):
+    cluster = _encode_cluster(tmp_path)
+    manifest = cluster / "manifest.json"
+    if callable(edit):
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+    else:
+        manifest.write_text(edit)
+    code = run_cli("collect", "--out", str(cluster),
+                   "--nodes", "1:2,2:2,3:2,4:2", "--recover", str(tmp_path / "o"))
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["tradeoff", "--params", "8,4,2,4,2,2", "--B", "18", "--sweep", "-1"], "--sweep"),
+    (["verify-mincut", "--params", "8,4,2,4,2,2", "--alpha", "5", "--beta1", "2",
+      "--beta2", "1", "--max-stages", "0"], "--max-stages"),
+    (["bench", "--params", "8,4,2,4,2,2", "--probes", "-1"], "--probes"),
+    (["bench", "--params", "8,4,2,4,2,2", "--rounds", "two"], "--rounds"),
+])
+def test_out_of_range_count_option_exit_1(capsys, argv, named):
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert named in captured.err and not captured.out

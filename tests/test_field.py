@@ -133,6 +133,19 @@ def test_symbol_widths():
     assert gf65536().to_bytes([0x1234]) == b"\x34\x12"
 
 
+def test_serialization_byte_literals():
+    fp = prime_field(2**31 - 1)
+    assert fp.to_bytes([0x01020304]) == b"\x04\x03\x02\x01"
+    assert fp.from_bytes(b"\x04\x03\x02\x01").tolist() == [0x01020304]
+    assert gf65536().from_bytes(b"\x34\x12\xff\xff").tolist() == [0x1234, 0xFFFF]
+    with pytest.raises(FieldError, match="outside field range"):
+        fp.from_bytes(b"\xff\xff\xff\xff")  # 2^32 - 1 >= p
+    with pytest.raises(FieldError, match="not a multiple"):
+        gf65536().from_bytes(b"\x01\x02\x03")
+    with pytest.raises(FieldError, match="outside field range"):
+        fp.to_bytes([2**31 - 1])
+
+
 def test_canonical_moduli():
     assert gf256().modulus == 0x11D
     assert gf65536().modulus == 0x1100B

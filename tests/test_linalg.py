@@ -16,7 +16,6 @@ from rackcoop.linalg import (
     check_U_property,
     check_V_property,
     matmul,
-    mds_generator,
     rank,
     solve,
     transpose,
@@ -109,18 +108,18 @@ def test_vandermonde_top_rows_exhaustive_small():
 
 
 # ---------------------------------------------------------------------------
-# MDS generators
+# Vandermonde as an MDS generator (the outer code G)
 # ---------------------------------------------------------------------------
 
 def test_mds_square_case():
-    g = mds_generator(3, 3, gf256())
+    g = vandermonde(3, [1, 2, 3], gf256())
     assert rank(g) == 3
 
 
 def test_mds_2x4_gf7_all_pairs():
     """All six 2x2 column minors nonzero (determinant oracle)."""
     f = prime_field(7)
-    g = mds_generator(2, 4, f, points=[1, 2, 3, 4])
+    g = vandermonde(2, [1, 2, 3, 4], f)
     for i, j in itertools.combinations(range(4), 2):
         a, b = int(g.data[0, i]), int(g.data[0, j])
         c, d = int(g.data[1, i]), int(g.data[1, j])
@@ -128,7 +127,7 @@ def test_mds_2x4_gf7_all_pairs():
 
 
 def test_mds_18x28_random_subsets():
-    g = mds_generator(18, 28, gf256())
+    g = vandermonde(18, range(1, 29), gf256())
     rng = random.Random(5)
     for _ in range(1000):
         cols = sorted(rng.sample(range(28), 18))
@@ -136,8 +135,10 @@ def test_mds_18x28_random_subsets():
 
 
 def test_mds_too_long_for_field():
-    with pytest.raises(linalg.LinalgError):
-        mds_generator(2, 256, gf256())
+    """GF(2^8) has 256 elements, so 257 points must repeat one.  The build's
+    own outer-code length limit is test_build_field_too_small."""
+    with pytest.raises(linalg.LinalgError, match="distinct"):
+        vandermonde(2, [x % 256 for x in range(1, 258)], gf256())
 
 
 # ---------------------------------------------------------------------------
