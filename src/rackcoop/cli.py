@@ -188,7 +188,8 @@ def _cmd_encode(args) -> int:
     state = codec.encode(spec, message)
     manifest = harness.save(state, spec, args.out)
     print(f"encoded {spec.file_size} symbols over field of order {spec.field.order}")
-    print(f"cluster written to {args.out} (digest {manifest.digest[:16]}...)")
+    print(f"cluster written to {args.out} (attempt {manifest.attempt}, "
+          f"fingerprint {manifest.fingerprint[:16]})")
     return EXIT_OK
 
 
@@ -296,7 +297,8 @@ def _cmd_bench(args) -> int:
     report = harness.run_scenario(spec, state, scenario, expected_message=message)
     run_s = time.perf_counter() - t0
     print(report.format())
-    print(f"build {build_s:.3f}s, {args.rounds} rounds + {args.probes} probes {run_s:.3f}s")
+    print(f"build {build_s:.3f}s (attempt {spec.attempt}, fingerprint {spec.fingerprint[:16]}), "
+          f"{args.rounds} rounds + {args.probes} probes {run_s:.3f}s")
     return EXIT_OK
 
 

@@ -28,8 +28,10 @@ encode and collect are derived from it.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -141,7 +143,9 @@ class CodeSpec:
 
     ``P[i-1][l-1]`` is the (2d+f) x (n/r - e/f)(2d+f-1) local-parity map of
     node i in rack l; its last row is always zero so the dropped product-
-    matrix symbol stays parity-free.
+    matrix symbol stays parity-free.  ``attempt`` is the instance's index in
+    ``candidates(params, field, seed)``; with :attr:`fingerprint` it names
+    the instance without re-verifying it.
     """
 
     params: CodeParams
@@ -152,6 +156,17 @@ class CodeSpec:
     P: tuple[tuple[Matrix, ...], ...]
     seed: int
     layout: ConstructionLayout
+    attempt: int
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """SHA-256 over G, U, V and every P block (row-major): each matrix
+        contributes ``repr(shape)`` and then its entries as ``<i8`` bytes."""
+        h = hashlib.sha256()
+        for mat in (self.G, self.U, self.V, *(pm for row in self.P for pm in row)):
+            h.update(repr(mat.data.shape).encode())
+            h.update(mat.data.astype("<i8").tobytes())
+        return h.hexdigest()
 
     @property
     def alpha(self) -> int:
@@ -367,13 +382,40 @@ MAX_ATTEMPTS = 24
 def build_code(p: CodeParams, field: Field, seed: int) -> CodeSpec:
     """Generate and verify a code instance; deterministic in ``seed``.
 
+    Returns the first instance of :func:`candidates` that passes the U/V
+    submatrix-rank properties, the per-rack vector-MDS property and the
+    rank-B collector property.
+    """
+    sequence = candidates(p, field, seed)  # checks the layout and the field first
+    deficiency = structural_recovery_deficiency(p)
+    if deficiency is not None:
+        support, witness = deficiency
+        raise UnsupportedParametersError(
+            f"parameters {p.as_tuple()} cannot satisfy any-k recovery with this "
+            f"construction: collector {list(witness)} reaches only {support} "
+            f"independent coordinates but the file has {construction_params(p).file_size}; "
+            "no field choice can repair this"
+        )
+    failures: list[str] = []
+    for spec in sequence:
+        problem = _verify_spec(spec)
+        if problem is None:
+            return spec
+        failures.append(f"attempt {spec.attempt}: {problem}")
+    raise CodeBuildError(
+        "could not build a verified code instance; " + "; ".join(failures)
+    )
+
+
+def candidates(p: CodeParams, field: Field, seed: int) -> Iterator[CodeSpec]:
+    """The seeded sequence of unverified instances, attempts 0 .. MAX_ATTEMPTS-1.
+
     The first attempt uses structured choices (Vandermonde point runs and a
     Cauchy parity stack); later attempts resample points, and the last half
     falls back to fully random dense parity maps.  The outer code G is
     Vandermonde on distinct points, which certifies its MDS property for
-    every column subset.  Every attempt is checked for the U/V
-    submatrix-rank properties, the per-rack vector-MDS property and the
-    rank-B collector property before being accepted.
+    every column subset.  One ``random.Random(seed)`` feeds every attempt,
+    so attempt ``a`` depends on the draws of the attempts before it.
     """
     layout = construction_params(p)
     if p.failures_per_rack >= p.nodes_per_rack:
@@ -385,28 +427,10 @@ def build_code(p: CodeParams, field: Field, seed: int) -> CodeSpec:
         raise CodeBuildError(
             f"outer code length {layout.n_global} too large for field of order {field.order}"
         )
-    deficiency = structural_recovery_deficiency(p)
-    if deficiency is not None:
-        support, witness = deficiency
-        raise UnsupportedParametersError(
-            f"parameters {p.as_tuple()} cannot satisfy any-k recovery with this "
-            f"construction: collector {list(witness)} reaches only {support} "
-            f"independent coordinates but the file has {layout.file_size}; "
-            "no field choice can repair this"
-        )
     rng = random.Random(seed)
-    failures: list[str] = []
-    for attempt in range(MAX_ATTEMPTS):
-        g, u, v, parities = _candidate(p, field, layout, rng, attempt)
-        spec = CodeSpec(
-            params=p, field=field, G=g, U=u, V=v, P=parities, seed=seed, layout=layout
-        )
-        problem = _verify_spec(spec)
-        if problem is None:
-            return spec
-        failures.append(f"attempt {attempt}: {problem}")
-    raise CodeBuildError(
-        "could not build a verified code instance; " + "; ".join(failures)
+    return (
+        CodeSpec(p, field, *_candidate(p, field, layout, rng, attempt), seed, layout, attempt)
+        for attempt in range(MAX_ATTEMPTS)
     )
 
 
@@ -423,9 +447,11 @@ def _candidate(p, field, layout, rng, attempt):
     else:
         g_points = rng.sample(range(1, q), n_pts)
         uv_points = rng.sample(range(1, q), r)
-    # Layout-v1 clusters store only the seed and rebuild the code from it,
-    # so the draws must stay in order: this one, whose value is unused,
-    # keeps every later parity and point draw where earlier builds had it.
+    # The draws must stay in order: layout-v1 clusters store only the seed
+    # and rebuild (and re-verify) the code from it, and layout-v2 clusters
+    # regenerate candidate number `attempt` from the seed and check its
+    # fingerprint.  This draw, whose value is unused, keeps every later
+    # parity and point draw where earlier builds had it.
     rng.randrange(2**32)
     g = linalg.vandermonde(layout.file_size, g_points, field)
     u = linalg.vandermonde(p.d, uv_points, field)

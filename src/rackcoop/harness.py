@@ -3,18 +3,20 @@
 A cluster lives in a directory: ``manifest.json`` plus one
 ``rack_<l>/node_<i>.bin`` file per node (little-endian field symbols; an
 erased node is a zero-length file and is listed in the manifest).  The
-manifest carries everything needed to rebuild the code instance
-deterministically: parameters, field, seed, and a digest over the node
-files.  Scenario runs replay repair rounds against the cluster while a
-ledger checks every transferred symbol against the bandwidth the code is
+manifest names the code instance by its certificate (parameters, field,
+seed, the accepted attempt and the code's fingerprint) and records a digest
+per node file.  Scenario runs replay repair rounds against the cluster while
+a ledger checks every transferred symbol against the bandwidth the code is
 supposed to use.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
+import sys
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -24,7 +26,7 @@ from . import codec, field as field_mod, params as params_mod
 from .codec import ClusterState, CodeSpec, RepairTranscript
 from .params import CodeParams, RepairStage, mbrcr_point
 
-LAYOUT_VERSION = 1
+LAYOUT_VERSION = 2
 
 
 class ClusterIntegrityError(RuntimeError):
@@ -41,13 +43,24 @@ class ScenarioError(RuntimeError):
 
 @dataclass(frozen=True)
 class Manifest:
+    """One cluster's manifest.
+
+    Layout v2 (written by :func:`save`) names the code by ``attempt`` and
+    ``fingerprint`` and maps every node file to its SHA-256 in ``nodes``.
+    Layout v1 (still read) has neither; its ``digest`` covers all node files
+    at once and its code is rebuilt and re-verified from the seed.
+    """
+
     params: CodeParams
     field_spec: field_mod.FieldSpec
     seed: int
     file_size: int
     alpha: int
     erased: tuple[tuple[int, int], ...]
-    digest: str
+    attempt: int | None = None
+    fingerprint: str | None = None
+    nodes: dict[str, str] | None = None
+    digest: str | None = None
     layout_version: int = LAYOUT_VERSION
 
     def to_json(self) -> str:
@@ -66,8 +79,11 @@ class Manifest:
             "file_size": self.file_size,
             "alpha": self.alpha,
             "erased": [list(pair) for pair in self.erased],
-            "digest": self.digest,
         }
+        if self.layout_version == 1:
+            doc["digest"] = self.digest
+        else:
+            doc.update(attempt=self.attempt, fingerprint=self.fingerprint, nodes=self.nodes)
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @classmethod
@@ -81,9 +97,10 @@ class Manifest:
             raise ClusterIntegrityError(f"manifest is not JSON: {exc}") from None
         if not isinstance(doc, dict):
             raise ClusterIntegrityError(f"manifest is a JSON {type(doc).__name__}, not an object")
-        if doc.get("layout_version") != LAYOUT_VERSION:
+        version = doc.get("layout_version")
+        if type(version) is not int or version not in (1, LAYOUT_VERSION):
             raise LayoutVersionError(
-                f"layout version {doc.get('layout_version')!r} unsupported, expected {LAYOUT_VERSION}"
+                f"layout version {version!r} unsupported, expected 1 or {LAYOUT_VERSION}"
             )
         pp = _typed(doc, "params", dict)
         fd = _typed(doc, "field", dict)
@@ -91,10 +108,11 @@ class Manifest:
         if not all(type(pair) is list and len(pair) == 2 and all(type(x) is int for x in pair)
                    for pair in erased):
             raise ClusterIntegrityError("manifest field 'erased' must list [rack, node] pairs")
-        return cls(
-            params=params_mod.validate(
-                *(_typed(pp, key, int, "params.") for key in ("n", "k", "d", "r", "e", "f"))
-            ),
+        p = params_mod.validate(
+            *(_typed(pp, key, int, "params.") for key in ("n", "k", "d", "r", "e", "f"))
+        )
+        common = dict(
+            params=p,
             field_spec=field_mod.FieldSpec(
                 kind=_typed(fd, "kind", str, "field."),
                 order=_typed(fd, "order", int, "field."),
@@ -104,8 +122,24 @@ class Manifest:
             file_size=_typed(doc, "file_size", int),
             alpha=_typed(doc, "alpha", int),
             erased=tuple(tuple(pair) for pair in erased),
-            digest=_typed(doc, "digest", str),
+            layout_version=version,
         )
+        if version == 1:
+            return cls(**common, digest=_typed(doc, "digest", str))
+        attempt = _typed(doc, "attempt", int)
+        if not 0 <= attempt < codec.MAX_ATTEMPTS:
+            raise ClusterIntegrityError(
+                f"manifest field 'attempt' is {attempt}, not in 0..{codec.MAX_ATTEMPTS - 1}"
+            )
+        nodes = _typed(doc, "nodes", dict)
+        names = {_node_name(rack, node) for rack in range(1, p.r + 1)
+                 for node in range(1, p.nodes_per_rack + 1)}
+        if set(nodes) != names or not all(type(v) is str for v in nodes.values()):
+            raise ClusterIntegrityError(
+                "manifest field 'nodes' must map each node file to its SHA-256 digest"
+            )
+        return cls(**common, attempt=attempt, fingerprint=_typed(doc, "fingerprint", str),
+                   nodes=nodes)
 
 
 def _typed(doc: dict, key: str, kind: type, prefix: str = ""):
@@ -117,32 +151,33 @@ def _typed(doc: dict, key: str, kind: type, prefix: str = ""):
     return value
 
 
-def _node_path(root: Path, rack: int, node: int) -> Path:
-    return root / f"rack_{rack}" / f"node_{node}.bin"
+def _node_name(rack: int, node: int) -> str:
+    return f"rack_{rack}/node_{node}.bin"
 
 
 def _digest_nodes(state: ClusterState) -> str:
+    """The layout-v1 digest: one SHA-256 over every node file."""
     h = hashlib.sha256()
     for rack, node in state.node_ids():
         if state.is_erased(rack, node):
             payload = b""
         else:
             payload = state.field.to_bytes(state.node(rack, node))
-        h.update(f"rack_{rack}/node_{node}.bin:{len(payload)}:".encode())
+        h.update(f"{_node_name(rack, node)}:{len(payload)}:".encode())
         h.update(payload)
     return h.hexdigest()
 
 
 def save(state: ClusterState, spec: CodeSpec, directory) -> Manifest:
+    """Write ``state`` with a layout-v2 manifest naming ``spec`` by its certificate."""
     root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
+    nodes = {}
     for rack, node in state.node_ids():
-        path = _node_path(root, rack, node)
-        path.parent.mkdir(exist_ok=True)
-        if state.is_erased(rack, node):
-            path.write_bytes(b"")
-        else:
-            path.write_bytes(state.field.to_bytes(state.node(rack, node)))
+        name = _node_name(rack, node)
+        data = b"" if state.is_erased(rack, node) else state.field.to_bytes(state.node(rack, node))
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_bytes(data)
+        nodes[name] = hashlib.sha256(data).hexdigest()
     manifest = Manifest(
         params=spec.params,
         field_spec=spec.field.spec,
@@ -150,13 +185,23 @@ def save(state: ClusterState, spec: CodeSpec, directory) -> Manifest:
         file_size=spec.file_size,
         alpha=spec.alpha,
         erased=tuple(state.erased_nodes()),
-        digest=_digest_nodes(state),
+        attempt=spec.attempt,
+        fingerprint=spec.fingerprint,
+        nodes=nodes,
     )
     (root / "manifest.json").write_text(manifest.to_json())
     return manifest
 
 
 def load(directory) -> tuple[ClusterState, CodeSpec]:
+    """Read a cluster and the code instance its manifest names.
+
+    A v2 manifest's code is candidate ``attempt`` of ``codec.candidates``,
+    taken without re-verification: its fingerprint must equal the manifest's.
+    A v1 manifest's code is rebuilt and verified by ``codec.build_code``.  A
+    missing node file is reported on stderr and loaded as erased; a node
+    file that is present must match its digest.
+    """
     root = Path(directory)
     try:
         manifest = Manifest.from_json((root / "manifest.json").read_bytes())
@@ -164,7 +209,16 @@ def load(directory) -> tuple[ClusterState, CodeSpec]:
         raise ClusterIntegrityError(f"no manifest.json in {root}") from None
     p = manifest.params
     f = field_mod.from_spec(manifest.field_spec)
-    spec = codec.build_code(p, f, manifest.seed)
+    if manifest.layout_version == 1:
+        spec = codec.build_code(p, f, manifest.seed)
+    else:
+        spec = next(itertools.islice(codec.candidates(p, f, manifest.seed), manifest.attempt, None))
+        if spec.fingerprint != manifest.fingerprint:
+            raise ClusterIntegrityError(
+                f"code fingerprint {spec.fingerprint[:16]} (seed {manifest.seed}, attempt "
+                f"{manifest.attempt}) does not match the manifest's fingerprint "
+                f"{manifest.fingerprint[:16]}"
+            )
     if spec.file_size != manifest.file_size or spec.alpha != manifest.alpha:
         raise ClusterIntegrityError(
             "manifest layout disagrees with the rebuilt code instance"
@@ -172,8 +226,18 @@ def load(directory) -> tuple[ClusterState, CodeSpec]:
     erased = set(manifest.erased)
     state = ClusterState(p, f, spec.alpha)
     for rack, node in state.node_ids():
-        path = _node_path(root, rack, node)
-        data = path.read_bytes()
+        name = _node_name(rack, node)
+        path = root / name
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
+            if (rack, node) not in erased:
+                print(f"warning: {path} is missing; node ({rack}, {node}) is loaded as erased",
+                      file=sys.stderr)
+            state.erase(rack, node)
+            continue
+        if manifest.nodes is not None and hashlib.sha256(data).hexdigest() != manifest.nodes[name]:
+            raise ClusterIntegrityError(f"{path} does not match its digest in the manifest")
         if (rack, node) in erased:
             if data:
                 raise ClusterIntegrityError(
@@ -187,7 +251,7 @@ def load(directory) -> tuple[ClusterState, CodeSpec]:
                     f"{path} holds {symbols.size} symbols, expected {spec.alpha}"
                 )
             state.set_node(rack, node, symbols)
-    if _digest_nodes(state) != manifest.digest:
+    if manifest.digest is not None and _digest_nodes(state) != manifest.digest:
         raise ClusterIntegrityError("node files do not match the manifest digest")
     return state, spec
 

@@ -1,10 +1,11 @@
 import csv
+import hashlib
 import json
 import os
 
 import pytest
 
-from rackcoop import cli
+from rackcoop import cli, codec
 
 
 def run_cli(*argv):
@@ -158,6 +159,8 @@ def test_bench_smoke(capsys):
     out = capsys.readouterr().out
     assert "2 repair rounds" in out
     assert "probes recovered: 3/3" in out
+    # the benchmark names the exact code it measured by its certificate
+    assert "(attempt 0, fingerprint d1bdf15c00b8913e)" in out
 
 
 def _encode_cluster(tmp_path):
@@ -204,6 +207,26 @@ def _scalar_erasure(doc):
     doc["erased"] = [5]
 
 
+def _negative_attempt(doc):
+    doc["attempt"] = -1
+
+
+def _attempt_past_last(doc):
+    doc["attempt"] = codec.MAX_ATTEMPTS
+
+
+def _stringify_attempt(doc):
+    doc["attempt"] = "0"
+
+
+def _drop_node_digest(doc):
+    del doc["nodes"]["rack_1/node_1.bin"]
+
+
+def _edit_fingerprint(doc):
+    doc["fingerprint"] = ("0" if doc["fingerprint"][0] != "0" else "1") + doc["fingerprint"][1:]
+
+
 @pytest.mark.parametrize("edit, named", [
     (_drop_params, "'params'"),
     (_set_seed, "'seed'"),
@@ -211,6 +234,11 @@ def _scalar_erasure(doc):
     (_scalar_erasure, "'erased'"),
     ("{not json", "not JSON"),
     ("[1, 2]", "JSON list"),
+    (_negative_attempt, "'attempt'"),
+    (_attempt_past_last, "'attempt'"),
+    (_stringify_attempt, "'attempt'"),
+    (_drop_node_digest, "'nodes'"),
+    (_edit_fingerprint, "fingerprint"),
 ])
 def test_collect_malformed_manifest_exit_2(tmp_path, capsys, edit, named):
     cluster = _encode_cluster(tmp_path)
@@ -238,3 +266,105 @@ def test_out_of_range_count_option_exit_1(capsys, argv, named):
     assert run_cli(*argv) == 1
     captured = capsys.readouterr()
     assert named in captured.err and not captured.out
+
+
+def _edit_manifest(cluster, edit):
+    manifest = cluster / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    edit(doc)
+    manifest.write_text(json.dumps(doc))
+
+
+def test_stale_seed_detected_by_fingerprint(tmp_path, capsys):
+    """At (10,5,1,2,1,1) k*alpha = B: a collector has no redundant symbol, so
+    only the code's fingerprint can tell that the seed no longer names it."""
+    src = tmp_path / "raw.bin"
+    src.write_bytes(bytes(range(1, 11)))
+    cluster = tmp_path / "cluster"
+    assert run_cli("encode", "--params", "10,5,1,2,1,1", "--raw",
+                   "--in", str(src), "--out", str(cluster)) == 0
+    assert json.loads((cluster / "manifest.json").read_text())["attempt"] == 1
+    collect = ["collect", "--out", str(cluster), "--raw",
+               "--nodes", "1:1,1:2,1:3,2:1,2:2", "--recover", str(tmp_path / "o")]
+    assert run_cli(*collect) == 0
+    assert (tmp_path / "o").read_bytes() == bytes(range(1, 11))
+    _edit_manifest(cluster, lambda doc: doc.update(seed=5))
+    capsys.readouterr()
+    assert run_cli(*collect) == 2
+    assert "fingerprint" in capsys.readouterr().err
+
+
+def test_collect_survives_missing_node_file(tmp_path, capsys):
+    cluster = _encode_cluster(tmp_path)
+    (cluster / "rack_4" / "node_1.bin").unlink()
+    out = tmp_path / "o"
+    assert run_cli("collect", "--out", str(cluster),
+                   "--nodes", "1:2,2:2,3:1,3:2", "--recover", str(out)) == 0
+    assert out.read_bytes() == b"hello"
+    assert "rack_4/node_1.bin is missing" in capsys.readouterr().err
+    # a collector that needs the lost node is refused, not decoded
+    assert run_cli("collect", "--out", str(cluster),
+                   "--nodes", "1:2,2:2,3:1,4:1", "--recover", str(out)) == 1
+    assert "(4, 1) is erased" in capsys.readouterr().err
+
+
+def _node_files(cluster):
+    return {f.relative_to(cluster): f.read_bytes() for f in sorted(cluster.glob("rack_*/*.bin"))}
+
+
+def test_v2_commands_do_not_reverify_the_code(tmp_path, monkeypatch):
+    cluster = _encode_cluster(tmp_path)
+    before = _node_files(cluster)
+
+    def verify(spec):
+        raise AssertionError("collect and repair must load the certified code")
+
+    monkeypatch.setattr(codec, "_verify_spec", verify)
+    out = tmp_path / "o"
+    assert run_cli("collect", "--out", str(cluster),
+                   "--nodes", "1:1,2:2,3:1,4:2", "--recover", str(out)) == 0
+    assert out.read_bytes() == b"hello"
+    assert run_cli("repair", "--dir", str(cluster),
+                   "--racks", "1,3", "--nodes", "2/1", "--helpers", "2,4") == 0
+    assert _node_files(cluster) == before
+
+
+def test_v1_cluster_collects_and_repairs_to_v2(tmp_path, monkeypatch):
+    """A layout-v1 cluster (seed and one digest over all node files, no
+    certificate) still loads through the verified build; repair re-saves it
+    as v2 with the same node bytes."""
+    cluster = _encode_cluster(tmp_path)
+    before = _node_files(cluster)
+    h = hashlib.sha256()
+    for name, data in before.items():  # rack-major, node-minor: the v1 order
+        h.update(f"{name}:{len(data)}:".encode())
+        h.update(data)
+
+    def to_v1(doc):
+        for key in ("attempt", "fingerprint", "nodes"):
+            del doc[key]
+        doc.update(layout_version=1, digest=h.hexdigest())
+
+    _edit_manifest(cluster, to_v1)
+    verified = []
+    real_verify = codec._verify_spec
+
+    def verify(spec):
+        verified.append(spec)
+        return real_verify(spec)
+
+    monkeypatch.setattr(codec, "_verify_spec", verify)
+    out = tmp_path / "o"
+    assert run_cli("collect", "--out", str(cluster),
+                   "--nodes", "1:1,2:2,3:1,4:2", "--recover", str(out)) == 0
+    assert out.read_bytes() == b"hello" and verified
+    assert run_cli("repair", "--dir", str(cluster),
+                   "--racks", "1,3", "--nodes", "2/1", "--helpers", "2,4") == 0
+    doc = json.loads((cluster / "manifest.json").read_text())
+    assert doc["layout_version"] == 2 and "digest" not in doc
+    assert doc["attempt"] == verified[-1].attempt
+    assert _node_files(cluster) == before
+    verified.clear()
+    assert run_cli("collect", "--out", str(cluster),
+                   "--nodes", "1:2,2:1,3:2,4:1", "--recover", str(out)) == 0
+    assert out.read_bytes() == b"hello" and not verified

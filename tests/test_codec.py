@@ -1,5 +1,5 @@
 import dataclasses
-import hashlib
+import functools
 import itertools
 import random
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import all_k_subsets, mbcr_vector, message_matrices
-from rackcoop import codec, field, linalg, params
+from rackcoop import codec, field, harness, linalg, params
 from rackcoop.codec import (
     CodeBuildError,
     CodeIntegrityError,
@@ -69,25 +69,47 @@ def test_build_deterministic(base_params, base_spec):
     assert again.P == base_spec.P
 
 
-def _fingerprint(spec):
-    h = hashlib.sha256()
-    for mat in [spec.G, spec.U, spec.V] + [pm for row in spec.P for pm in row]:
-        h.update(repr(mat.data.shape).encode())
-        h.update(mat.data.astype("<i8").tobytes())
-    return h.hexdigest()[:16]
+@functools.cache
+def _seed0_build(tup):
+    return codec.build_default_code(params.validate(*tup), seed=0)
 
 
 @pytest.mark.parametrize("tup, expected", [
     ((8, 4, 2, 4, 2, 2), "d1bdf15c00b8913e"),
     ((16, 8, 4, 8, 2, 2), "096912734d219e7a"),
-    ((10, 5, 1, 2, 1, 1), "e5f265de15991706"),  # accepted on attempt 2
-    ((12, 7, 1, 2, 2, 1), "431496b746c3ba98"),  # attempt 22, dense parities
+    ((10, 5, 1, 2, 1, 1), "e5f265de15991706"),  # accepted on the 2nd attempt
+    ((12, 7, 1, 2, 2, 1), "431496b746c3ba98"),  # the 22nd, dense parities
 ])
 def test_seeded_builds_pinned(tup, expected):
-    """Clusters store only the seed and rebuild the code from it, so a
+    """Layout-v1 clusters store only the seed and rebuild the code from it,
+    and layout-v2 clusters regenerate their accepted attempt from it, so a
     seeded build must give the same G, U, V, P in every version, including
     the random draws of rejected attempts."""
-    assert _fingerprint(codec.build_default_code(params.validate(*tup), seed=0)) == expected
+    assert _seed0_build(tup).fingerprint[:16] == expected
+
+
+@pytest.mark.parametrize("tup, attempt", [
+    ((8, 4, 2, 4, 2, 2), 0),
+    ((16, 8, 4, 8, 2, 2), 0),
+    ((10, 5, 1, 2, 1, 1), 1),
+    ((12, 7, 1, 2, 2, 1), 21),
+])
+def test_certificate_loads_the_built_code(tmp_path, tup, attempt):
+    """A saved cluster's certificate regenerates the verified code exactly."""
+    built = _seed0_build(tup)
+    assert built.attempt == attempt
+    harness.save(encode(built, random_message(built, 1)), built, tmp_path)
+    _, loaded = harness.load(tmp_path)
+    assert (loaded.G, loaded.U, loaded.V, loaded.P, loaded.attempt) == (
+        built.G, built.U, built.V, built.P, built.attempt)
+    assert loaded.fingerprint == built.fingerprint
+
+
+def test_candidates_is_the_build_sequence(base_params, base_spec):
+    """build_code accepts the first verified member of candidates()."""
+    sequence = list(codec.candidates(base_params, field.gf256(), seed=7))
+    assert [spec.attempt for spec in sequence] == list(range(codec.MAX_ATTEMPTS))
+    assert sequence[base_spec.attempt] == base_spec
 
 
 def test_build_rejects_no_global_nodes():

@@ -20,7 +20,7 @@ from rackcoop.harness import (
 
 def test_save_load_roundtrip(tmp_path, base_spec, base_state):
     manifest = save(base_state, base_spec, tmp_path / "c")
-    assert manifest.layout_version == 1
+    assert manifest.layout_version == 2
     loaded_state, loaded_spec = load(tmp_path / "c")
     assert loaded_state == base_state
     assert loaded_spec.G == base_spec.G and loaded_spec.P == base_spec.P
@@ -58,7 +58,7 @@ def test_tampered_node_file_detected(tmp_path, base_spec, base_state):
 def test_version_mismatch(tmp_path, base_spec, base_state):
     save(base_state, base_spec, tmp_path / "c")
     doc = json.loads((tmp_path / "c" / "manifest.json").read_text())
-    doc["layout_version"] = 2
+    doc["layout_version"] = 3
     (tmp_path / "c" / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(LayoutVersionError):
         load(tmp_path / "c")
