@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 validation error (bad arguments or inputs),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -302,6 +303,7 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one instance serves every call
 def build_parser() -> _Parser:
     parser = _Parser(prog="rackcoop", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -369,7 +371,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (params_mod.ParameterError, codec.EncodingError, params_mod.RepairPatternError,
-            codec.CodeBuildError, FieldError, FileNotFoundError) as exc:
+            codec.CodeBuildError, FieldError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (codec.CodeIntegrityError, harness.ClusterIntegrityError,

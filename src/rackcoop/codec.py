@@ -29,7 +29,6 @@ encode and collect are derived from it.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -188,11 +187,6 @@ class CodeSpec:
     def matrices_per_rack(self) -> int:
         return self.params.failures_per_rack
 
-    @property
-    def mm_symbols(self) -> int:
-        p = self.params
-        return p.m * (2 * p.d + p.f - p.m)
-
     # -- column layout of the outer code -------------------------------
 
     def global_col(self, rack: int, slot: int, pos: int = 0) -> int:
@@ -210,7 +204,7 @@ class CodeSpec:
         the structural zero block."""
         p = self.params
         m, width = p.m, p.d + p.f
-        base = self.params.r * self.globals_per_rack * self.alpha + (i - 1) * self.mm_symbols
+        base = p.r * self.globals_per_rack * self.alpha + (i - 1) * m * (2 * p.d + p.f - m)
         if row < m and col < m:
             return base + row * m + col
         if row < m:
@@ -233,50 +227,49 @@ class CodeSpec:
         return slice(start, start + self.alpha)
 
     @cached_property
+    def rack_maps(self) -> tuple[Matrix, ...]:
+        """Per rack l, the (n/r*alpha) x ((n/r - e/f)*alpha) map from the rack's
+        global content c_l to each node's c_l part, node by node: the stored
+        rows of the local parity P_{i,l} for node i <= e/f, identity rows of
+        slot t for global node e/f + t."""
+        a, epf = self.alpha, self.matrices_per_rack
+        eye = np.eye(self.globals_per_rack * a, dtype=np.int64)
+        return tuple(
+            Matrix(self.field, np.vstack([self.P[i][rack].data[:a] for i in range(epf)] + [eye]))
+            for rack in range(self.params.r)
+        )
+
+    @cached_property
     def generator(self) -> Matrix:
         """The (n*alpha) x B matrix mapping the message to every stored
-        symbol, node by node in (rack, node) order (see :meth:`node_rows`)."""
+        symbol, node by node in (rack, node) order (see :meth:`node_rows`):
+        each rack's map on its global columns, plus the product-matrix part."""
         p = self.params
         w = np.zeros((p.n * self.alpha, self.n_global), dtype=np.int64)
+        rack_rows = p.nodes_per_rack * self.alpha
         for rack in range(1, p.r + 1):
-            for node in range(1, p.nodes_per_rack + 1):
-                rows = self.node_rows(rack, node)
-                if node > p.failures_per_rack:
-                    start = self.global_col(rack, node - p.failures_per_rack)
-                    w[rows, start : start + self.alpha] = np.eye(self.alpha, dtype=np.int64)
-                else:
-                    w[rows] = self._mbcr_global_map(rack, node)
+            for i in range(1, p.failures_per_rack + 1):
+                w[self.node_rows(rack, i)] = self._product_matrix_map(rack, i)
+            # The product-matrix part has no column in a rack's global slice.
+            w[(rack - 1) * rack_rows : rack * rack_rows, self.rack_global_slice(rack)] = (
+                self.rack_maps[rack - 1].data
+            )
         return Matrix(self.field, linalg._raw_matmul(self.field, w, self.G.data.T))
 
-    def _mbcr_global_map(self, rack: int, i: int) -> np.ndarray:
-        """alpha x N matrix mapping outer-code symbols to node (rack, i)'s
-        stored symbols (i <= e/f)."""
+    def _product_matrix_map(self, rack: int, i: int) -> np.ndarray:
+        """alpha x N matrix mapping outer-code symbols to the first alpha
+        entries of [M_i v_l ; M_i^T u_l] for rack l = ``rack``."""
         p = self.params
-        f = self.field
         u_l = self.u_col(rack)
         v_l = self.v_col(rack)
-        width = p.d + p.f
         w = np.zeros((self.alpha, self.n_global), dtype=np.int64)
-        for row in range(self.alpha):
-            if row < p.d:
-                # (M_i v_l)[row] = sum_c v_l[c] * M_i[row, c]
-                for c in range(width):
-                    col = self.message_matrix_col(i, row, c)
-                    if col is not None:
-                        w[row, col] = int(v_l[c])
-            else:
-                # (M_i^T u_l)[row-d] = sum_rw u_l[rw] * M_i[rw, row-d]
-                rr = row - p.d
-                for rw in range(p.d):
-                    col = self.message_matrix_col(i, rw, rr)
-                    if col is not None:
-                        w[row, col] = int(u_l[rw])
-        # local parity contribution
-        pm = self.P[i - 1][rack - 1].data
-        base = self.rack_global_slice(rack).start
-        w[:, base : base + pm.shape[1]] = f.vec_add(
-            w[:, base : base + pm.shape[1]], pm[: self.alpha]
-        )
+        for row in range(p.d):
+            for c in range(p.d + p.f):
+                col = self.message_matrix_col(i, row, c)
+                if col is not None:
+                    w[row, col] = v_l[c]  # (M_i v_l)[row] = sum_c v_l[c] M_i[row, c]
+                    if p.d + c < self.alpha:  # (M_i^T u_l)[c] = sum_row u_l[row] M_i[row, c]
+                        w[p.d + c, col] = u_l[row]
         return w
 
 
@@ -502,49 +495,37 @@ def _verify_spec(spec: CodeSpec) -> str | None:
     return None
 
 
-def _block_rows(spec: CodeSpec, rack: int, block) -> np.ndarray:
-    """Rows expressing one rack block as a linear map of c_l."""
-    w = spec.globals_per_rack
-    kind, idx = block
-    if kind == "global":
-        rows = np.zeros((spec.alpha, w * spec.alpha), dtype=np.int64)
-        for pos in range(spec.alpha):
-            rows[pos, (idx - 1) * spec.alpha + pos] = 1
-        return rows
-    return spec.P[idx - 1][rack - 1].data[: spec.alpha].copy()
-
-
-def rack_blocks(spec: CodeSpec) -> list[tuple[str, int]]:
-    """Identifiers of the n/r per-rack blocks: globals then parities."""
-    return [("global", t) for t in range(1, spec.globals_per_rack + 1)] + [
-        ("parity", i) for i in range(1, spec.matrices_per_rack + 1)
-    ]
+def _rack_rows(spec: CodeSpec, rack: int, nodes) -> Matrix:
+    """Rows of ``rack``'s map for the given 1-based node indices, in order."""
+    p = spec.params
+    data = spec.rack_maps[rack - 1].data.reshape(p.nodes_per_rack, spec.alpha, -1)
+    return Matrix(spec.field, data[[i - 1 for i in nodes]].reshape(-1, data.shape[2]))
 
 
 def _rack_vector_mds(spec: CodeSpec, rack: int) -> bool:
-    blocks = rack_blocks(spec)
+    """Any n/r - e/f nodes of the rack determine its global content c_l."""
+    p = spec.params
     w = spec.globals_per_rack
-    for subset in itertools.combinations(blocks, w):
-        stacked = np.vstack([_block_rows(spec, rack, b) for b in subset])
-        if linalg.rank(Matrix(spec.field, stacked)) != w * spec.alpha:
+    for idx in linalg._subsets(p.nodes_per_rack, w, spec.seed ^ rack):
+        if linalg.rank(_rack_rows(spec, rack, [i + 1 for i in idx])) != w * spec.alpha:
             return False
     return True
 
 
 def recover_rack_globals(spec: CodeSpec, rack: int, available: dict) -> np.ndarray:
-    """Solve for the rack's global content c_l from any n/r - e/f blocks.
+    """Solve for the rack's global content c_l from any n/r - e/f nodes.
 
-    ``available`` maps block ids from :func:`rack_blocks` to their observed
-    alpha-symbol values.
+    ``available`` maps node indices to their alpha-symbol c_l parts: a
+    global node's stored symbols, or a product-matrix node's stored symbols
+    minus its product-matrix part.
     """
     w = spec.globals_per_rack
     if len(available) != w:
-        raise CodeIntegrityError(f"need exactly {w} blocks, got {len(available)}")
-    items = sorted(available.items())
-    rows = np.vstack([_block_rows(spec, rack, b) for b, _ in items])
-    rhs = np.concatenate([np.asarray(v, dtype=np.int64) for _, v in items])
+        raise CodeIntegrityError(f"need exactly {w} nodes, got {len(available)}")
+    nodes = sorted(available)
+    rhs = np.concatenate([np.asarray(available[i], dtype=np.int64) for i in nodes])
     try:
-        return linalg.solve(Matrix(spec.field, rows), rhs)
+        return linalg.solve(_rack_rows(spec, rack, nodes), rhs)
     except linalg.SingularMatrixError as exc:
         raise CodeIntegrityError(f"vector-MDS solve failed in rack {rack}") from exc
 
@@ -623,30 +604,36 @@ def collect(spec: CodeSpec, state: ClusterState, nodes) -> np.ndarray:
 # -- repair -------------------------------------------------------------
 
 
+def _products(f: Field, a, b) -> np.ndarray:
+    """The matrix product ``a @ b`` over ``f``, broadcast over leading axes, as
+    one row-wise vec_mul and vec_sum (for the small operands of repair)."""
+    return f.vec_sum(f.vec_mul(a[..., :, :, None], b[..., None, :, :]), axis=-2)
+
+
 def strip_parities(spec: CodeSpec, rack: int, state: ClusterState) -> dict[int, np.ndarray]:
     """Clean stored product-matrix symbols of rack ``rack``.
 
     Returns, for each live node i <= e/f, the first 2d+f-1 entries of
-    [M_i v_l ; M_i^T u_l] with the local parity removed.  Requires all of
-    the rack's global nodes to be live.
+    [M_i v_l ; M_i^T u_l] with the local parity removed: the stored symbols
+    minus the product of the rack map's product-matrix rows with c_l.
+    Requires all of the rack's global nodes to be live.
     """
     p = spec.params
+    epf, a = p.failures_per_rack, spec.alpha
     c_parts = []
-    for slot in range(1, spec.globals_per_rack + 1):
-        node = p.failures_per_rack + slot
+    for node in range(epf + 1, p.nodes_per_rack + 1):
         if state.is_erased(rack, node):
             raise CodeIntegrityError(
                 f"global node ({rack}, {node}) erased; cannot strip parities"
             )
         c_parts.append(state.node(rack, node))
-    c_l = np.concatenate(c_parts)
-    out = {}
-    for i in range(1, spec.matrices_per_rack + 1):
-        if state.is_erased(rack, i):
-            continue
-        parity = linalg.mat_vec(spec.P[i - 1][rack - 1], c_l)[: spec.alpha]
-        out[i] = spec.field.vec_sub(state.node(rack, i), parity)
-    return out
+    parities = _products(spec.field, spec.rack_maps[rack - 1].data[: epf * a],
+                         np.concatenate(c_parts)[:, None])[:, 0]
+    return {
+        i: spec.field.vec_sub(state.node(rack, i), parities[(i - 1) * a : i * a])
+        for i in range(1, epf + 1)
+        if not state.is_erased(rack, i)
+    }
 
 
 def complete_mbcr_vector(spec: CodeSpec, rack: int, stored: np.ndarray) -> np.ndarray:
@@ -654,16 +641,17 @@ def complete_mbcr_vector(spec: CodeSpec, rack: int, stored: np.ndarray) -> np.nd
 
     Uses u_l^T (M_i v_l) = v_l^T (M_i^T u_l): the left side is computable
     from the first d entries, the right side exposes the missing entry
-    through the last coordinate of v_l.
+    through the last coordinate of v_l.  ``stored`` is one vector or one
+    vector per row.
     """
     p = spec.params
     f = spec.field
     u_l = spec.u_col(rack)
     v_l = spec.v_col(rack)
-    lhs = f.vec_dot(u_l, stored[: p.d])
-    partial = f.vec_dot(v_l[:-1], stored[p.d :])
-    last = f.mul(f.sub(lhs, partial), f.inv(int(v_l[-1])))
-    return np.concatenate([stored, np.array([last], dtype=np.int64)])
+    lhs = f.vec_sum(f.vec_mul(stored[..., : p.d], u_l), axis=-1)
+    partial = f.vec_sum(f.vec_mul(stored[..., p.d :], v_l[:-1]), axis=-1)
+    last = f.vec_mul(f.vec_sub(lhs, partial), f.inv(int(v_l[-1])))
+    return np.concatenate([stored, np.asarray(last)[..., None]], axis=-1)
 
 
 @dataclass
@@ -680,26 +668,25 @@ class RepairTranscript:
     intra_rack: dict[str, int]
 
     def cross_symbols(self, rack: int) -> int:
-        return sum(c for _, dst, c in self.round1 if dst == rack) + sum(
-            c for _, dst, c in self.round2 if dst == rack
-        )
+        return sum(c for _, dst, c in self.round1 + self.round2 if dst == rack)
 
 
 def repair(spec: CodeSpec, state: ClusterState, failed, helpers) -> tuple[ClusterState, RepairTranscript]:
     """Rebuild e erased nodes (e/f in each of f racks) in place.
 
-    Round 1: every helper rack's relayer strips local parities and sends,
-    per failed rack l and matrix index i, the two projections
-    u_l^T M_i v_j and v_l^T M_i^T u_j (beta1 = 2e/f symbols); each failed
-    rack solves the d-projection system for M_i v_l.  Round 2: failed racks
-    exchange u_t^T M_i v_l (beta2 = e/f symbols per ordered pair) and each
-    solves the (d+f)-projection system for M_i^T u_t.  The rack then holds
-    its full product-matrix vectors and restores every lost node through
-    the per-rack vector-MDS property.
+    Round 1: every helper rack j strips its local parities, completes its
+    product-matrix vectors [M_i v_j ; M_i^T u_j] and sends each failed rack
+    l the 2 x e/f projections u_l^T M_i v_j and v_l^T M_i^T u_j (beta1 =
+    2e/f symbols).  Each failed rack solves one d x d system over the
+    helpers' U columns for its e/f vectors M_i v_l.  Round 2: rack l sends
+    every other failed rack t the e/f symbols u_t^T M_i v_l (beta2).  One
+    (d+f) x (d+f) system over V's columns (helpers, then failed racks)
+    gives every M_i^T u_t.  Each rack then holds its product-matrix vectors
+    and restores its lost nodes through its rack map.  Transcript counts
+    are the sizes of the arrays sent.
     """
     p = spec.params
     stage = RepairStage.make(failed, helpers).validate(p)
-    failed_map = dict(stage.failed)
     failed_racks, helper_racks = stage.racks, stage.helpers
     expected = {(rack, i) for rack, idxs in stage.failed for i in idxs}
     actual = set(state.erased_nodes())
@@ -708,96 +695,52 @@ def repair(spec: CodeSpec, state: ClusterState, failed, helpers) -> tuple[Cluste
             f"state erasures {sorted(actual)} do not match the declared pattern {sorted(expected)}"
         )
     f = spec.field
-    epf = p.failures_per_rack
+    d, epf, a = p.d, p.failures_per_rack, spec.alpha
+    u_failed = spec.U.data[:, [rack - 1 for rack in failed_racks]]
+    v_failed = spec.V.data[:, [rack - 1 for rack in failed_racks]]
 
-    round1: list[tuple[int, int, int]] = []
-    round2: list[tuple[int, int, int]] = []
+    # Round 1: sent1[h, :, :, s] is the 2 x e/f message of helper_racks[h]
+    # to failed_racks[s].
+    vecs = np.stack([
+        complete_mbcr_vector(spec, j, np.vstack(list(strip_parities(spec, j, state).values())))
+        for j in helper_racks
+    ])
+    sent1 = np.stack([_products(f, vecs[..., :d], u_failed),
+                      _products(f, vecs[..., d:], v_failed)], axis=1)
+    round1 = [(j, l, sent1[h, :, :, s].size)
+              for h, j in enumerate(helper_racks) for s, l in enumerate(failed_racks)]
 
-    # Round 1: helper projections.
-    recv1: dict[int, dict[tuple[int, int], tuple[int, int]]] = {l: {} for l in failed_racks}
-    for j in helper_racks:
-        clean = strip_parities(spec, j, state)
-        full = {i: complete_mbcr_vector(spec, j, vec) for i, vec in clean.items()}
-        for l in failed_racks:
-            u_l = spec.u_col(l)
-            v_l = spec.v_col(l)
-            for i in range(1, epf + 1):
-                s_uv = f.vec_dot(u_l, full[i][: p.d])       # u_l^T M_i v_j
-                s_vu = f.vec_dot(v_l, full[i][p.d :])       # v_l^T M_i^T u_j
-                recv1[l][(j, i)] = (s_uv, s_vu)
-            round1.append((j, l, 2 * epf))
+    # Each failed rack solves u_j^T M_i v_l = v_l^T M_i^T u_j for its M_i v_l.
+    u_helpers_t = Matrix(f, spec.U.data[:, [j - 1 for j in helper_racks]].T)
+    m_v = np.stack([linalg.solve(u_helpers_t, sent1[:, 1, :, s])
+                    for s in range(len(failed_racks))])  # (rack, d, e/f)
 
-    # Each failed rack solves for M_i v_l.
-    u_helpers_t = linalg.transpose(spec.U.take_columns([j - 1 for j in helper_racks]))
-    m_v: dict[tuple[int, int], np.ndarray] = {}
-    for l in failed_racks:
-        for i in range(1, epf + 1):
-            rhs = np.array([recv1[l][(j, i)][1] for j in helper_racks], dtype=np.int64)
-            m_v[(l, i)] = linalg.solve(u_helpers_t, rhs)
+    # Round 2: sent2[s, r] = (u_t^T M_i v_l)_i for l = failed_racks[s] and
+    # t = failed_racks[r]; rack l sends it to rack t unless r == s.
+    sent2 = _products(f, u_failed.T, m_v)
+    round2 = [(l, t, sent2[s, r].size)
+              for s, l in enumerate(failed_racks) for r, t in enumerate(failed_racks) if r != s]
 
-    # Round 2: failed racks exchange projections of each other's vectors.
-    recv2: dict[tuple[int, int, int], int] = {}
-    for l in failed_racks:
-        for t in failed_racks:
-            if t == l:
-                continue
-            u_t = spec.u_col(t)
-            for i in range(1, epf + 1):
-                recv2[(l, t, i)] = f.vec_dot(u_t, m_v[(l, i)])  # u_t^T M_i v_l
-            round2.append((l, t, epf))
+    # v_c^T M_i^T u_t for every V column c (helpers, then failed racks; a
+    # rack's own term it computes itself), solved for every M_i^T u_t at once.
+    proj = np.concatenate([sent1[:, 0], sent2.transpose(0, 2, 1)])  # (d+f, e/f, rack)
+    v_sub_t = Matrix(f, spec.V.data[:, [c - 1 for c in helper_racks + failed_racks]].T)
+    m_u = linalg.solve(v_sub_t, proj.reshape(d + p.f, -1)).reshape(proj.shape)
 
-    # Each failed rack solves for M_i^T u_t from d+f projections onto V columns.
-    m_u: dict[tuple[int, int], np.ndarray] = {}
-    for t in failed_racks:
-        proj_cols = list(helper_racks) + [l for l in failed_racks if l != t] + [t]
-        v_sub_t = linalg.transpose(spec.V.take_columns([c - 1 for c in proj_cols]))
-        for i in range(1, epf + 1):
-            rhs = []
-            for j in helper_racks:
-                rhs.append(recv1[t][(j, i)][0])              # v_j^T M_i^T u_t
-            for l in failed_racks:
-                if l != t:
-                    rhs.append(recv2[(l, t, i)])             # v_l^T M_i^T u_t
-            rhs.append(f.vec_dot(spec.u_col(t), m_v[(t, i)]))  # v_t^T M_i^T u_t
-            m_u[(t, i)] = linalg.solve(v_sub_t, np.array(rhs, dtype=np.int64))
-
-    # In-rack restoration through the vector-MDS property.
-    for rack in failed_racks:
-        full_vecs = {
-            i: np.concatenate([m_v[(rack, i)], m_u[(rack, i)]])
-            for i in range(1, epf + 1)
+    # In-rack restoration through the rack map.
+    for s, (rack, lost) in enumerate(stage.failed):
+        # Row i-1: the product-matrix part of node i's stored symbols.
+        pm_part = np.concatenate([m_v[s], m_u[:, :, s]])[:a].T
+        available = {
+            i: state.node(rack, i) if i > epf else f.vec_sub(state.node(rack, i), pm_part[i - 1])
+            for i in range(1, p.nodes_per_rack + 1) if i not in lost
         }
-        available: dict[tuple[str, int], np.ndarray] = {}
-        for slot in range(1, spec.globals_per_rack + 1):
-            node = epf + slot
-            if node not in failed_map[rack]:
-                available[("global", slot)] = state.node(rack, node)
-        for i in range(1, epf + 1):
-            if i not in failed_map[rack]:
-                available[("parity", i)] = f.vec_sub(
-                    state.node(rack, i), full_vecs[i][: spec.alpha]
-                )
         c_l = recover_rack_globals(spec, rack, available)
-        for node in failed_map[rack]:
-            if node > epf:
-                slot = node - epf
-                state.set_node(
-                    rack, node, c_l[(slot - 1) * spec.alpha : slot * spec.alpha]
-                )
-            else:
-                parity = linalg.mat_vec(spec.P[node - 1][rack - 1], c_l)[: spec.alpha]
-                state.set_node(
-                    rack, node, f.vec_add(full_vecs[node][: spec.alpha], parity)
-                )
+        parts = _products(f, _rack_rows(spec, rack, lost).data, c_l[:, None]).reshape(-1, a)
+        for i, part in zip(lost, parts):
+            state.set_node(rack, i, part if i > epf else f.vec_add(part, pm_part[i - 1]))
 
     npr = p.nodes_per_rack
-    transcript = RepairTranscript(
-        round1=sorted(round1),
-        round2=sorted(round2),
-        intra_rack={
-            "helper_rack_reads": len(helper_racks) * (npr - 1) * spec.alpha,
-            "failed_rack_reads": len(failed_racks) * (npr - epf) * spec.alpha,
-        },
-    )
-    return state, transcript
-
+    intra_rack = {"helper_rack_reads": len(helper_racks) * (npr - 1) * a,
+                  "failed_rack_reads": len(failed_racks) * (npr - epf) * a}
+    return state, RepairTranscript(sorted(round1), sorted(round2), intra_rack)

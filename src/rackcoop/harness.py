@@ -105,12 +105,17 @@ class Manifest:
         pp = _typed(doc, "params", dict)
         fd = _typed(doc, "field", dict)
         erased = _typed(doc, "erased", list)
-        if not all(type(pair) is list and len(pair) == 2 and all(type(x) is int for x in pair)
-                   for pair in erased):
-            raise ClusterIntegrityError("manifest field 'erased' must list [rack, node] pairs")
         p = params_mod.validate(
             *(_typed(pp, key, int, "params.") for key in ("n", "k", "d", "r", "e", "f"))
         )
+        ids = {(rack, node) for rack in range(1, p.r + 1)
+               for node in range(1, p.nodes_per_rack + 1)}
+        pairs = {tuple(pair) for pair in erased
+                 if type(pair) is list and all(type(x) is int for x in pair)}
+        if len(pairs) != len(erased) or not pairs <= ids:
+            raise ClusterIntegrityError(
+                "manifest field 'erased' must list distinct [rack, node] pairs of the cluster"
+            )
         common = dict(
             params=p,
             field_spec=field_mod.FieldSpec(
@@ -132,8 +137,7 @@ class Manifest:
                 f"manifest field 'attempt' is {attempt}, not in 0..{codec.MAX_ATTEMPTS - 1}"
             )
         nodes = _typed(doc, "nodes", dict)
-        names = {_node_name(rack, node) for rack in range(1, p.r + 1)
-                 for node in range(1, p.nodes_per_rack + 1)}
+        names = {_node_name(rack, node) for rack, node in ids}
         if set(nodes) != names or not all(type(v) is str for v in nodes.values()):
             raise ClusterIntegrityError(
                 "manifest field 'nodes' must map each node file to its SHA-256 digest"

@@ -183,39 +183,40 @@ def test_criterion_06_dependence_relation(base_spec):
 
 
 def test_criterion_07_vector_mds(base_spec, base_message):
-    """Any n/r - e/f of a rack's blocks (globals + parities) reconstruct the
+    """Any n/r - e/f of a rack's nodes (globals + parities) reconstruct the
     rest exactly."""
     g = codec.global_symbols(base_spec, base_message)
     w = base_spec.globals_per_rack
+    epf = base_spec.matrices_per_rack
     checked = 0
     for rack in range(1, 5):
         c_l = g[base_spec.rack_global_slice(rack)]
-        blocks = {}
+        parts = {}  # node index -> its c_l part
         for t in range(1, w + 1):
-            blocks[("global", t)] = c_l[(t - 1) * base_spec.alpha : t * base_spec.alpha]
-        for i in range(1, base_spec.matrices_per_rack + 1):
-            blocks[("parity", i)] = linalg.mat_vec(
+            parts[epf + t] = c_l[(t - 1) * base_spec.alpha : t * base_spec.alpha]
+        for i in range(1, epf + 1):
+            parts[i] = linalg.mat_vec(
                 base_spec.P[i - 1][rack - 1], c_l
             )[: base_spec.alpha]
-        for subset in itertools.combinations(codec.rack_blocks(base_spec), w):
+        for subset in itertools.combinations(range(1, epf + w + 1), w):
             got_c = codec.recover_rack_globals(
-                base_spec, rack, {b: blocks[b] for b in subset}
+                base_spec, rack, {i: parts[i] for i in subset}
             )
             assert np.array_equal(got_c, c_l)
-            # every block, not just the globals, is reproduced from c_l
-            for b, val in blocks.items():
-                if b[0] == "global":
-                    t = b[1]
+            # every node's part, not just the globals', is reproduced from c_l
+            for i, val in parts.items():
+                if i > epf:
+                    t = i - epf
                     assert np.array_equal(
                         got_c[(t - 1) * base_spec.alpha : t * base_spec.alpha], val
                     )
                 else:
                     redo = linalg.mat_vec(
-                        base_spec.P[b[1] - 1][rack - 1], got_c
+                        base_spec.P[i - 1][rack - 1], got_c
                     )[: base_spec.alpha]
                     assert np.array_equal(redo, val)
             checked += 1
-    _passed(7, f"{checked} block subsets reconstruct their racks exactly")
+    _passed(7, f"{checked} node subsets reconstruct their racks exactly")
 
 
 def test_criterion_08_composition_counts():

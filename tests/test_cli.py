@@ -178,6 +178,20 @@ def test_collect_out_of_range_node_exit_1(tmp_path, capsys):
                    "--nodes", "1:2,2:2,3:2,9:1", "--recover", str(tmp_path / "o"))
     assert code == 1
     assert "(9, 1) out of range" in capsys.readouterr().err
+    # a path of the wrong kind (a directory for a file, a file for a
+    # directory) raises an OSError, which is a validation error too
+    src = tmp_path / "message.bin"
+    for argv in (
+        ["collect", "--out", str(cluster), "--nodes", "1:2,2:2,3:2,4:2",
+         "--recover", str(tmp_path)],
+        ["encode", "--params", "8,4,2,4,2,2", "--in", str(tmp_path), "--out", str(tmp_path / "c")],
+        ["encode", "--params", "8,4,2,4,2,2", "--in", str(src), "--out", str(src)],
+        ["collect", "--out", str(src), "--nodes", "1:2,2:2,3:2,4:2",
+         "--recover", str(tmp_path / "o")],
+    ):
+        assert run_cli(*argv) == 1, argv
+        captured = capsys.readouterr()
+        assert "directory" in captured.err and not captured.out, argv
 
 
 def test_repair_out_of_range_rack_exit_1(tmp_path, capsys):
@@ -207,6 +221,18 @@ def _scalar_erasure(doc):
     doc["erased"] = [5]
 
 
+def _erasure_outside_cluster(doc):
+    doc["erased"] = [[9, 9], [0, 1]]
+
+
+def _erasure_node_past_rack(doc):
+    doc["erased"] = [[1, 3]]  # a rack holds n/r = 2 nodes
+
+
+def _repeated_erasure(doc):
+    doc["erased"] = [[1, 1], [1, 1]]
+
+
 def _negative_attempt(doc):
     doc["attempt"] = -1
 
@@ -232,6 +258,9 @@ def _edit_fingerprint(doc):
     (_set_seed, "'seed'"),
     (_stringify_n, "'params.n'"),
     (_scalar_erasure, "'erased'"),
+    (_erasure_outside_cluster, "'erased'"),
+    (_erasure_node_past_rack, "'erased'"),
+    (_repeated_erasure, "'erased'"),
     ("{not json", "not JSON"),
     ("[1, 2]", "JSON list"),
     (_negative_attempt, "'attempt'"),

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import all_k_subsets, mbcr_vector, message_matrices
 from rackcoop import codec, field, harness, linalg, params
@@ -38,11 +39,15 @@ def erase_pattern(state, failed):
             state.erase(rack, i)
 
 
+@functools.cache
+def _gf256_build(tup, seed):
+    return build_code(params.validate(*tup), field.gf256(), seed=seed)
+
+
 @pytest.fixture(scope="module")
 def two_matrix_spec():
     """e/f = 2: two product matrices per rack."""
-    p = params.validate(16, 8, 2, 4, 4, 2)
-    return build_code(p, field.gf256(), seed=3)
+    return _gf256_build((16, 8, 2, 4, 4, 2), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +414,49 @@ def test_repair_then_collect_sequences(base_spec, base_message):
         assert np.array_equal(collect(base_spec, state, subset), base_message)
 
 
+@st.composite
+def repair_stages(draw, p):
+    """An admissible stage: f distinct racks, d other helper racks, e/f
+    distinct nodes in each failed rack."""
+    racks = draw(st.lists(st.integers(1, p.r), min_size=p.f, max_size=p.f, unique=True))
+    others = [h for h in range(1, p.r + 1) if h not in racks]
+    helpers = draw(st.lists(st.sampled_from(others), min_size=p.d, max_size=p.d, unique=True))
+    epf = p.failures_per_rack
+    nodes = st.lists(st.integers(1, p.nodes_per_rack), min_size=epf, max_size=epf, unique=True)
+    return params.RepairStage.make({rack: draw(nodes) for rack in racks}, helpers)
+
+
+@pytest.mark.parametrize("tup, seed", [((8, 4, 2, 4, 2, 2), 7), ((16, 8, 2, 4, 4, 2), 3)],
+                         ids=["8,4,2,4,2,2", "16,8,2,4,4,2"])
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_repair_rounds_then_collect_property(tup, seed, data):
+    """Any sequence of admissible repair rounds restores every lost node
+    byte for byte, sends 2e/f symbols per (helper, failed rack) and e/f per
+    ordered pair of failed racks, and leaves any k nodes collectible."""
+    spec = _gf256_build(tup, seed)
+    p = spec.params
+    epf = p.failures_per_rack
+    symbols = st.integers(0, spec.field.order - 1)
+    message = np.array(data.draw(st.lists(symbols, min_size=spec.file_size,
+                                          max_size=spec.file_size)), dtype=np.int64)
+    state = encode(spec, message)
+    for stage in data.draw(st.lists(repair_stages(p), min_size=1, max_size=4)):
+        before = state.clone()
+        erase_pattern(state, dict(stage.failed))
+        _, transcript = repair(spec, state, stage.failed, stage.helpers)
+        for rack, node in state.node_ids():
+            assert spec.field.to_bytes(state.node(rack, node)) == spec.field.to_bytes(
+                before.node(rack, node)), (stage, rack, node)
+        assert transcript.round1 == sorted(
+            (h, l, 2 * epf) for h in stage.helpers for l in stage.racks)
+        assert transcript.round2 == sorted(
+            (a, b, epf) for a in stage.racks for b in stage.racks if a != b)
+    ids = list(state.node_ids())
+    collector = data.draw(st.lists(st.sampled_from(ids), min_size=p.k, max_size=p.k, unique=True))
+    assert np.array_equal(collect(spec, state, collector), message)
+
+
 def test_repair_pattern_validation(base_spec, base_message):
     state = encode(base_spec, base_message)
     failed = {1: (1,), 2: (1,)}
@@ -509,16 +557,17 @@ def test_vector_mds_blocks_recoverable(base_spec, base_message):
     g = global_symbols(base_spec, base_message)
     mms = message_matrices(base_spec, base_message)
     w = base_spec.globals_per_rack
+    epf = base_spec.matrices_per_rack
     for rack in range(1, 5):
         c_l = g[base_spec.rack_global_slice(rack)]
-        true_blocks = {}
+        true_parts = {}  # node index -> its c_l part
         for t in range(1, w + 1):
-            true_blocks[("global", t)] = c_l[(t - 1) * base_spec.alpha : t * base_spec.alpha]
-        for i in range(1, base_spec.matrices_per_rack + 1):
-            true_blocks[("parity", i)] = linalg.mat_vec(
+            true_parts[epf + t] = c_l[(t - 1) * base_spec.alpha : t * base_spec.alpha]
+        for i in range(1, epf + 1):
+            true_parts[i] = linalg.mat_vec(
                 base_spec.P[i - 1][rack - 1], c_l
             )[: base_spec.alpha]
-        for subset in itertools.combinations(codec.rack_blocks(base_spec), w):
-            available = {b: true_blocks[b] for b in subset}
+        for subset in itertools.combinations(range(1, epf + w + 1), w):
+            available = {i: true_parts[i] for i in subset}
             got = codec.recover_rack_globals(base_spec, rack, available)
             assert np.array_equal(got, c_l)
