@@ -191,6 +191,7 @@ def _cmd_encode(args) -> int:
     print(f"encoded {spec.file_size} symbols over field of order {spec.field.order}")
     print(f"cluster written to {args.out} (attempt {manifest.attempt}, "
           f"fingerprint {manifest.fingerprint[:16]})")
+    print(f"collectors checked: {codec.collector_coverage(spec)}")
     return EXIT_OK
 
 
@@ -300,6 +301,7 @@ def _cmd_bench(args) -> int:
     print(report.format())
     print(f"build {build_s:.3f}s (attempt {spec.attempt}, fingerprint {spec.fingerprint[:16]}), "
           f"{args.rounds} rounds + {args.probes} probes {run_s:.3f}s")
+    print(f"collectors checked: {codec.collector_coverage(spec)}")
     return EXIT_OK
 
 

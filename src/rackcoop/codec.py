@@ -29,6 +29,7 @@ encode and collect are derived from it.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -238,6 +239,12 @@ class CodeSpec:
             Matrix(self.field, np.vstack([self.P[i][rack].data[:a] for i in range(epf)] + [eye]))
             for rack in range(self.params.r)
         )
+
+    @cached_property
+    def _restoration_inverses(self) -> dict:
+        """(rack, surviving node indices) -> inverse of those nodes' rack-map
+        rows, filled by :func:`recover_rack_globals` as repairs need them."""
+        return {}
 
     @cached_property
     def generator(self) -> Matrix:
@@ -486,9 +493,9 @@ def _verify_spec(spec: CodeSpec) -> str | None:
         for pm in i_row:
             if np.any(pm.data[-1]):
                 return "parity map last row not zero"
-    for rack in range(1, p.r + 1):
-        if not _rack_vector_mds(spec, rack):
-            return f"vector-MDS property failed in rack {rack}"
+    rack = _vector_mds_problem(spec)
+    if rack is not None:
+        return f"vector-MDS property failed in rack {rack}"
     bad = _collector_rank_problem(spec)
     if bad is not None:
         return f"collector rank deficient for nodes {bad}"
@@ -502,14 +509,22 @@ def _rack_rows(spec: CodeSpec, rack: int, nodes) -> Matrix:
     return Matrix(spec.field, data[[i - 1 for i in nodes]].reshape(-1, data.shape[2]))
 
 
-def _rack_vector_mds(spec: CodeSpec, rack: int) -> bool:
-    """Any n/r - e/f nodes of the rack determine its global content c_l."""
+def _vector_mds_problem(spec: CodeSpec) -> int | None:
+    """The first rack in which some n/r - e/f nodes do not determine the
+    rack's global content c_l, or None."""
     p = spec.params
-    w = spec.globals_per_rack
-    for idx in linalg._subsets(p.nodes_per_rack, w, spec.seed ^ rack):
-        if linalg.rank(_rack_rows(spec, rack, [i + 1 for i in idx])) != w * spec.alpha:
-            return False
-    return True
+    per_node = np.stack([m.data for m in spec.rack_maps]).reshape(
+        p.r, p.nodes_per_rack, spec.alpha, -1)
+    subsets = [(rack - 1, *idx) for rack in range(1, p.r + 1)
+               for idx in linalg._subsets(p.nodes_per_rack, spec.globals_per_rack, spec.seed ^ rack)]
+    bad = linalg.first_deficient(spec.field, subsets,
+                                 lambda idx: _stacked(per_node[idx[:, :1], idx[:, 1:]]))
+    return None if bad is None else bad[0] + 1
+
+
+def _stacked(rows: np.ndarray) -> np.ndarray:
+    """``(b, nodes, alpha, cols)`` node rows as a ``(b, nodes*alpha, cols)`` stack."""
+    return rows.reshape(rows.shape[0], -1, rows.shape[-1])
 
 
 def recover_rack_globals(spec: CodeSpec, rack: int, available: dict) -> np.ndarray:
@@ -522,23 +537,42 @@ def recover_rack_globals(spec: CodeSpec, rack: int, available: dict) -> np.ndarr
     w = spec.globals_per_rack
     if len(available) != w:
         raise CodeIntegrityError(f"need exactly {w} nodes, got {len(available)}")
-    nodes = sorted(available)
+    nodes = tuple(sorted(available))
+    key = (rack, nodes)
+    if key not in spec._restoration_inverses:
+        rows = _rack_rows(spec, rack, nodes)
+        try:
+            inverse = linalg.solve(rows, np.eye(rows.rows, dtype=np.int64))
+        except linalg.SingularMatrixError as exc:
+            raise CodeIntegrityError(f"vector-MDS solve failed in rack {rack}") from exc
+        spec._restoration_inverses[key] = inverse
     rhs = np.concatenate([np.asarray(available[i], dtype=np.int64) for i in nodes])
-    try:
-        return linalg.solve(_rack_rows(spec, rack, nodes), rhs)
-    except linalg.SingularMatrixError as exc:
-        raise CodeIntegrityError(f"vector-MDS solve failed in rack {rack}") from exc
+    return _products(spec.field, spec._restoration_inverses[key], rhs[:, None])[:, 0]
 
 
-def _collector_rank_problem(spec):
+def _collector_subsets(spec: CodeSpec):
+    """The collector check's node-index subsets, in order (repeats possible)."""
+    return linalg._subsets(spec.params.n, spec.params.k, spec.seed ^ 0x5EED)
+
+
+def _collector_rank_problem(spec: CodeSpec):
     p = spec.params
-    ids = [(rack, node) for rack in range(1, p.r + 1)
-           for node in range(1, p.nodes_per_rack + 1)]
-    for idx in linalg._subsets(len(ids), p.k, spec.seed ^ 0x5EED):
-        subset = tuple(ids[j] for j in idx)
-        if linalg.rank(stack_functionals(spec, subset)) != spec.file_size:
-            return subset
-    return None
+    per_node = spec.generator.data.reshape(p.n, spec.alpha, -1)
+    bad = linalg.first_deficient(spec.field, _collector_subsets(spec),
+                                 lambda idx: _stacked(per_node[idx]))
+    if bad is None:
+        return None
+    npr = p.nodes_per_rack
+    return tuple((j // npr + 1, j % npr + 1) for j in bad)
+
+
+def collector_coverage(spec: CodeSpec) -> str:
+    """How many k-node collectors the verified build checked, of how many."""
+    total = math.comb(spec.params.n, spec.params.k)
+    checked = len(set(_collector_subsets(spec)))
+    if checked == total:
+        return f"{checked:,} of {total:,} (exhaustive)"
+    return f"{checked:,} distinct sampled of {total:,}"
 
 
 # -- encoding -----------------------------------------------------------

@@ -96,6 +96,10 @@ class Field:
     def vec_sum(self, a, axis=None):
         raise NotImplementedError
 
+    def vec_inv(self, a):
+        """Elementwise inverse; every entry must be nonzero."""
+        raise NotImplementedError
+
     def vec_dot(self, a, b) -> int:
         return int(self.vec_sum(self.vec_mul(np.asarray(a), np.asarray(b))))
 
@@ -230,6 +234,10 @@ class BinaryField(Field):
     def vec_sum(self, a, axis=None):
         return np.bitwise_xor.reduce(np.asarray(a, dtype=np.int64), axis=axis)
 
+    def vec_inv(self, a):
+        n = self.order - 1
+        return self._exp[(n - self._log[np.asarray(a, dtype=np.int64)]) % n]
+
 
 class PrimeField(Field):
     """GF(p) for a prime p < 2^31."""
@@ -278,6 +286,18 @@ class PrimeField(Field):
     def vec_sum(self, a, axis=None):
         # Entries < 2^31 and desk-scale lengths keep the int64 sum exact.
         return np.sum(np.asarray(a, dtype=np.int64), axis=axis) % self.order
+
+    def vec_inv(self, a):
+        # a^(p-2) by square-and-multiply; every intermediate stays below p.
+        base = np.asarray(a, dtype=np.int64) % self.order
+        out = np.ones_like(base)
+        e = self.order - 2
+        while e:
+            if e & 1:
+                out = out * base % self.order
+            base = base * base % self.order
+            e >>= 1
+        return out
 
 
 def _is_prime(n: int) -> bool:

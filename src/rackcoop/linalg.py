@@ -156,6 +156,37 @@ def rank(a: Matrix) -> int:
     return len(_rref(a.field, m))
 
 
+def full_column_rank(f: Field, stack) -> np.ndarray:
+    """For each matrix of a ``(b, R, C)`` stack, whether its rank is C.
+
+    All matrices are eliminated together, one column at a time: each takes
+    its first nonzero pivot at or below row c, and only the trailing block
+    below and right of the pivot is updated.  A matrix without a pivot in
+    some column is rank deficient and leaves the batch.
+    """
+    m = np.array(stack, dtype=np.int64)
+    b, rows, cols = m.shape
+    full = np.zeros(b, dtype=bool)
+    if cols > rows:
+        return full
+    live = np.arange(b)
+    for c in range(cols):
+        nonzero = m[:, c:, c] != 0
+        found = nonzero.any(axis=1)
+        if not found.all():
+            live, m, nonzero = live[found], m[found], nonzero[found]
+        if not live.size:
+            return full
+        at = np.arange(live.size)
+        pr = c + nonzero.argmax(axis=1)
+        pivot_row = f.vec_mul(m[at, pr, c + 1:], f.vec_inv(m[at, pr, c])[:, None])
+        m[at, pr, c:] = m[:, c, c:]  # row c takes the pivot's place; row c is not read again
+        m[:, c + 1:, c + 1:] = f.vec_sub(
+            m[:, c + 1:, c + 1:], f.vec_mul(m[:, c + 1:, c, None], pivot_row[:, None, :]))
+    full[live] = True
+    return full
+
+
 def _reduce_augmented(a: Matrix, b):
     """Reduced ``[a | b]``, the rank of ``a``, and whether ``b`` is a vector."""
     b = np.asarray(b, dtype=np.int64)
@@ -227,6 +258,28 @@ def _subsets(n: int, k: int, seed: int):
         yield tuple(sorted(rng.sample(range(n), k)))
 
 
+# Matrix entries eliminated together in one full_column_rank block.  The
+# working set is a few times this many int64 entries (8 MiB each), which keeps
+# the (24,12,6,12,2,2) build's peak memory within tens of MB.
+BATCH_ENTRIES = 1 << 20
+
+
+def first_deficient(f: Field, subsets, gather):
+    """The first of ``subsets`` whose matrix has rank below its column count,
+    or None.  ``gather`` maps a ``(b, size)`` array of subsets to their
+    ``(b, R, C)`` stack of matrices.  A repeated subset is checked once."""
+    distinct = np.array(list(dict.fromkeys(subsets)), dtype=np.intp)
+    if not distinct.size:
+        return None
+    step = max(1, BATCH_ENTRIES // gather(distinct[:1])[0].size)
+    for start in range(0, len(distinct), step):
+        block = distinct[start : start + step]
+        bad = np.flatnonzero(~full_column_rank(f, gather(block)))
+        if bad.size:
+            return tuple(int(j) for j in block[bad[0]])
+    return None
+
+
 def check_U_property(u: Matrix, m: int, d: int) -> bool:
     """Every m x m column submatrix of the top m rows invertible, and every
     d x d column submatrix of the whole matrix invertible."""
@@ -243,15 +296,13 @@ def check_V_property(v: Matrix, m: int, d: int, f: int) -> bool:
 
 
 def _top_and_full_check(mat: Matrix, m: int, full: int) -> bool:
-    top = mat.take_rows(range(m))
-    for cols in _subsets(mat.cols, m, 0):
-        if rank(top.take_columns(cols)) != m:
-            return False
-    if full <= mat.cols:
-        for cols in _subsets(mat.cols, full, 1):
-            if rank(mat.take_columns(cols)) != full:
-                return False
-    return True
+    def columns(rows):  # a (b, size) array of column subsets -> (b, len(rows), size)
+        return lambda idx: rows[:, idx].transpose(1, 0, 2)
+
+    if first_deficient(mat.field, _subsets(mat.cols, m, 0), columns(mat.data[:m])) is not None:
+        return False
+    return full > mat.cols or first_deficient(
+        mat.field, _subsets(mat.cols, full, 1), columns(mat.data)) is None
 
 
 def cauchy(field: Field, xs, ys) -> Matrix:

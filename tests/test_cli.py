@@ -87,6 +87,7 @@ def test_encode_collect_repair_roundtrip(tmp_path, capsys):
     ) == 0
     assert (cluster / "manifest.json").exists()
     assert (cluster / "rack_4" / "node_2.bin").stat().st_size == 5
+    assert "collectors checked: 70 of 70 (exhaustive)" in capsys.readouterr().out
 
     recovered = tmp_path / "out.bin"
     assert run_cli(
@@ -161,6 +162,14 @@ def test_bench_smoke(capsys):
     assert "probes recovered: 3/3" in out
     # the benchmark names the exact code it measured by its certificate
     assert "(attempt 0, fingerprint d1bdf15c00b8913e)" in out
+    assert "collectors checked: 70 of 70 (exhaustive)" in out
+
+
+def test_bench_reports_sampled_collector_coverage(capsys):
+    """Above 10,000 collectors the build checks 1,000 seeded draws; the
+    report counts the distinct ones among them."""
+    assert run_cli("bench", "--params", "16,8,4,8,2,2", "--rounds", "1", "--probes", "1") == 0
+    assert "collectors checked: 969 distinct sampled of 12,870" in capsys.readouterr().out
 
 
 def _encode_cluster(tmp_path):

@@ -93,6 +93,46 @@ def test_seeded_builds_pinned(tup, expected):
     assert _seed0_build(tup).fingerprint[:16] == expected
 
 
+def test_build_decisions_pinned():
+    """The verified build's subset order, pinned by what it decides: every
+    attempt at (9,7,2,3,2,1) fails and names its first deficient collector,
+    and seeds 0-9 at (8,4,2,4,2,2) accept the same attempt and code."""
+    first = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (3, 2))
+    other = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 3))
+    expected = "could not build a verified code instance; " + "; ".join(
+        f"attempt {a}: collector rank deficient for nodes {first if a in (0, 11) else other}"
+        for a in range(codec.MAX_ATTEMPTS))
+    with pytest.raises(CodeBuildError) as info:
+        build_code(params.validate(9, 7, 2, 3, 2, 1), field.gf256(), seed=0)
+    assert str(info.value) == expected
+    for seed in range(10):
+        spec = _gf256_build((8, 4, 2, 4, 2, 2), seed)
+        assert (spec.attempt, spec.fingerprint[:16]) == (0, "d1bdf15c00b8913e")
+
+
+@pytest.mark.parametrize("racks, named", [((3,), 3), ((4, 2), 2)])
+def test_verify_names_first_rack_without_vector_mds(two_matrix_spec, racks, named):
+    """Equal parity maps for both matrix nodes of a rack make those two nodes
+    unable to determine the rack's global content."""
+    P = [list(row) for row in two_matrix_spec.P]
+    for rack in racks:
+        P[1][rack - 1] = P[0][rack - 1]
+    spec = dataclasses.replace(two_matrix_spec, P=tuple(tuple(row) for row in P))
+    assert codec._verify_spec(spec) == f"vector-MDS property failed in rack {named}"
+
+
+def test_recover_rack_globals_singular_map_raises_every_time(two_matrix_spec):
+    """A singular restoration map is refused on every call, never cached."""
+    P = [list(row) for row in two_matrix_spec.P]
+    P[1][2] = P[0][2]
+    spec = dataclasses.replace(two_matrix_spec, P=tuple(tuple(row) for row in P))
+    available = {1: np.zeros(spec.alpha, dtype=np.int64), 2: np.zeros(spec.alpha, dtype=np.int64)}
+    for _ in range(2):
+        with pytest.raises(CodeIntegrityError, match="rack 3"):
+            codec.recover_rack_globals(spec, 3, available)
+    assert codec.recover_rack_globals(spec, 2, available).tolist() == [0] * (2 * spec.alpha)
+
+
 @pytest.mark.parametrize("tup, attempt", [
     ((8, 4, 2, 4, 2, 2), 0),
     ((16, 8, 4, 8, 2, 2), 0),

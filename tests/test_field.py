@@ -55,6 +55,13 @@ def test_prime_all_inverses():
             f.inv(0)
 
 
+def test_vec_inv_matches_scalar_inverse():
+    rng = random.Random(5)
+    for f in (gf256(), gf65536(), prime_field(2), prime_field(257), prime_field(2**31 - 1)):
+        xs = np.array(sorted({rng.randrange(1, f.order) for _ in range(200)}), dtype=np.int64)
+        assert f.vec_inv(xs).tolist() == [f.inv(int(x)) for x in xs]
+
+
 # ---------------------------------------------------------------------------
 # field axioms
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import identity, random_matrix
 from rackcoop import linalg
-from rackcoop.field import gf256, prime_field
+from rackcoop.field import gf256, gf65536, prime_field
 from rackcoop.linalg import (
     DimensionError,
     FieldMismatchError,
@@ -15,6 +16,7 @@ from rackcoop.linalg import (
     cauchy,
     check_U_property,
     check_V_property,
+    full_column_rank,
     matmul,
     rank,
     solve,
@@ -219,3 +221,70 @@ def test_solve_full_rank_overdetermined():
     bad[5] ^= 1
     with pytest.raises(linalg.LinalgError):
         linalg.solve_full_rank(a, bad)
+
+
+# ---------------------------------------------------------------------------
+# batched full-column-rank check against the one-matrix rank
+# ---------------------------------------------------------------------------
+
+KINDS = ("random", "small", "zero", "repeated_row", "planted")
+
+
+@st.composite
+def _stacks(draw):
+    """A field and a (b, R, C) stack, wide, square or tall, whose matrices are
+    random, small-entried, zero, with a repeated row, or with one column
+    planted as a combination of the others."""
+    f = draw(st.sampled_from((gf256(), gf65536(), prime_field(257))))
+    b, rows, cols = (draw(st.integers(1, hi)) for hi in (6, 7, 7))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for kind in draw(st.lists(st.sampled_from(KINDS), min_size=b, max_size=b)):
+        top = 3 if kind == "small" else f.order
+        m = np.array([[rng.randrange(top) for _ in range(cols)] for _ in range(rows)],
+                     dtype=np.int64)
+        if kind == "zero":
+            m[:] = 0
+        elif kind == "repeated_row" and rows > 1:
+            m[rng.randrange(1, rows)] = m[0]
+        elif kind == "planted" and cols > 1:
+            j = rng.randrange(cols)
+            m[:, j] = 0
+            for t in range(cols):
+                if t != j:
+                    m[:, j] = f.vec_add(m[:, j], f.vec_mul(m[:, t], rng.randrange(f.order)))
+        mats.append(m)
+    return f, np.stack(mats)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_stacks())
+def test_full_column_rank_matches_rank(case):
+    f, stack = case
+    expected = [rank(Matrix(f, m)) == stack.shape[2] for m in stack]
+    assert full_column_rank(f, stack).tolist() == expected
+
+
+def test_full_column_rank_leaves_input_and_handles_empty_shapes():
+    f = gf256()
+    stack = np.array([[[1, 2], [2, 4]], [[1, 2], [3, 4]]], dtype=np.int64)
+    before = stack.copy()
+    assert full_column_rank(f, stack).tolist() == [False, True]
+    assert np.array_equal(stack, before)
+    assert full_column_rank(f, np.zeros((3, 2, 0), dtype=np.int64)).tolist() == [True] * 3
+    assert full_column_rank(f, np.zeros((0, 4, 3), dtype=np.int64)).tolist() == []
+
+
+def test_first_deficient_keeps_subset_order_across_blocks(monkeypatch):
+    """Blocks of one matrix each give the same first failure as one block."""
+    f = gf256()
+    u = Matrix(f, np.array([[1, 1, 2, 3, 3], [5, 5, 7, 9, 9]]))
+    subsets = [(0, 2), (3, 4), (1, 2), (0, 1), (3, 4)]
+
+    def gather(idx):
+        return u.data[:, idx].transpose(1, 0, 2)
+
+    assert linalg.first_deficient(f, subsets, gather) == (3, 4)
+    monkeypatch.setattr(linalg, "BATCH_ENTRIES", 1)
+    assert linalg.first_deficient(f, subsets, gather) == (3, 4)
+    assert linalg.first_deficient(f, subsets[:1] + subsets[2:3], gather) is None
