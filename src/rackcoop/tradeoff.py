@@ -6,14 +6,18 @@ minimum, over all ordered compositions u of m into parts <= f, of
     k*alpha + sum_i u_i * min(0, (d - prefix_i)*beta1 - (e/f)*alpha + (f - u_i)*beta2)
 
 where prefix_i = u_1 + ... + u_{i-1}.  Everything here is exact rational
-arithmetic; the minimum-bandwidth curve is obtained from a tiny 2-variable
-linear program solved by enumerating vertices of the active-constraint lines.
+arithmetic.  The minimum-bandwidth curve comes from a 2-variable linear
+program in (beta1, beta2): its constraints are the bound's Pareto-minimal
+half-planes, which depend only on (m, f, d) and are cached, and it is solved
+by walking the lower boundary of the feasible set from breakpoint to
+breakpoint until gamma stops falling.
 """
 
 from __future__ import annotations
 
 import csv
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .params import CodeParams, TradeoffPoint, ROLE_CUSTOM, gamma_of
@@ -84,43 +88,50 @@ class GammaSolution(NamedTuple):
     beta2: Fraction
 
 
-def _constraint_lines(p: CodeParams, file_size: Fraction, alpha: Fraction):
-    """Boundary lines A*beta1 + C*beta2 = rhs of the linear pieces of the bound.
+@cache
+def _halfplanes(m: int, f: int, d: int) -> tuple[tuple[int, int, int], ...]:
+    """Pareto-minimal half-planes ``a*beta1 + c*beta2 >= (B - k*alpha) + (e/f)*alpha*w``.
 
-    Each composition contributes one line per nonempty subset of clamped-
-    active positions; coincident lines are deduplicated.
+    The clamp ``min(0, .)`` makes the bound for a composition u the minimum,
+    over subsets S of its positions, of the unclamped sum over S, so each
+    composition and nonempty S give one triple: a = sum u_i*(d - prefix_i),
+    c = sum u_i*(f - u_i) and w = sum u_i over S.  A triple is dropped when
+    another has a' <= a, c' <= c and w' >= w, because with beta >= 0 and
+    (e/f)*alpha > 0 that one implies it; what is left depends on neither
+    alpha nor the file size.
     """
-    epf = Fraction(p.e, p.f)
-    lines = set()
-    for u in compositions(p.m, p.f):
-        g = len(u)
+    triples = set()
+    for u in compositions(m, f):
         terms = []
         prefix = 0
         for part in u:
-            terms.append((part * (p.d - prefix), part * (p.f - part), part))
+            terms.append((part * (d - prefix), part * (f - part), part))
             prefix += part
-        for mask in range(1, 1 << g):
-            a = c = w = 0
-            for i in range(g):
-                if mask >> i & 1:
-                    a += terms[i][0]
-                    c += terms[i][1]
-                    w += terms[i][2]
-            rhs = file_size - p.k * alpha + epf * alpha * w
-            lines.add((Fraction(a), Fraction(c), rhs))
-    lines.add((Fraction(1), Fraction(0), Fraction(0)))  # beta1 = 0
-    lines.add((Fraction(0), Fraction(1), Fraction(0)))  # beta2 = 0
-    return lines
+        for mask in range(1, 1 << len(u)):
+            picked = [t for i, t in enumerate(terms) if mask >> i & 1]
+            triples.add(tuple(map(sum, zip(*picked))))
+    # In this order every triple comes after the ones that imply it, and
+    # implication is transitive, so comparing with the kept ones suffices.
+    kept: list[tuple[int, int, int]] = []
+    for a, c, w in sorted(triples, key=lambda t: (t[0], t[1], -t[2])):
+        if not any(c2 <= c and w2 >= w for _, c2, w2 in kept):
+            kept.append((a, c, w))
+    return tuple(kept)
 
 
 def min_gamma_given_alpha(p: CodeParams, file_size, alpha) -> GammaSolution:
     """Minimize d*beta1 + (f-1)*beta2 subject to the bound supporting ``file_size``.
 
-    The feasible region in (beta1, beta2) is an intersection of superlevel
-    sets of concave piecewise-linear functions, hence a polyhedron inside
-    the nonnegative quadrant; the optimum sits on a vertex formed by two of
-    the piece-boundary lines (axes included), so all pairwise intersections
-    are enumerated and checked with the exact feasibility primitive.
+    The feasible set is the intersection of the half-planes of
+    ``_halfplanes`` with the nonnegative quadrant.  Every a is positive
+    (d >= m) and every c nonnegative, so the set is upward-closed: its lower
+    boundary is beta2 = h(beta1) = max(0, max over c > 0 of (r - a*beta1)/c)
+    for beta1 at least the largest r/a over c = 0 (and 0).  Gamma along that
+    boundary is convex, so the walk starts at its left end and steps from
+    breakpoint to breakpoint while gamma still falls to the right
+    (Megiddo-style two-variable LP).  It returns the first vertex where it
+    stops falling: the minimal gamma with the smallest beta1, hence the
+    lexicographically smallest optimal (beta1, beta2).  Exact throughout.
     """
     file_size = Fraction(file_size)
     alpha = Fraction(alpha)
@@ -130,30 +141,33 @@ def min_gamma_given_alpha(p: CodeParams, file_size, alpha) -> GammaSolution:
         raise InfeasibleAlphaError(
             f"alpha = {alpha} below the minimum B/k = {Fraction(file_size, p.k)}"
         )
-    lines = list(_constraint_lines(p, file_size, alpha))
-    candidates = set()
-    for i in range(len(lines)):
-        a1, c1, r1 = lines[i]
-        for j in range(i + 1, len(lines)):
-            a2, c2, r2 = lines[j]
-            det = a1 * c2 - a2 * c1
-            if det == 0:
-                continue
-            b1 = (r1 * c2 - r2 * c1) / det
-            b2 = (a1 * r2 - a2 * r1) / det
-            if b1 >= 0 and b2 >= 0:
-                candidates.add((b1, b2))
-    best: GammaSolution | None = None
-    for b1, b2 in sorted(candidates):
-        g = gamma_of(p, b1, b2)
-        if best is not None and g >= best.gamma:
-            continue
-        if feasible(p, file_size, alpha, b1, b2):
-            best = GammaSolution(g, b1, b2)
-    # alpha >= B/k guarantees feasibility for large enough betas, so a
-    # vertex always exists.
-    assert best is not None
-    return best
+    base = file_size - p.k * alpha
+    unit = Fraction(p.e, p.f) * alpha
+    x = Fraction(0)
+    lines = []  # (a, c, r) with c > 0: beta2 >= (r - a*beta1)/c
+    for a, c, w in _halfplanes(p.m, p.f, p.d):
+        r = base + unit * w
+        if c:
+            lines.append((a, c, r))
+        else:
+            x = max(x, r / a)
+    while True:
+        heights = [((r - a * x) / c, a, c, r) for a, c, r in lines]
+        y = max([Fraction(0)] + [t[0] for t in heights])
+        if y == 0:
+            break  # h = 0 from here on, where gamma rises with slope d
+        # the least steep of the lines through (x, y) is the piece to the right
+        _, a, c, r = min((t for t in heights if t[0] == y),
+                         key=lambda t: Fraction(t[1], t[2]))
+        if p.d * c >= (p.f - 1) * a:  # gamma's slope d - (f-1)*a/c is >= 0
+            break
+        # next breakpoint: h reaches 0, or a less steep line overtakes
+        nxt = r / a
+        for a2, c2, r2 in lines:
+            if a2 * c < a * c2:
+                nxt = min(nxt, (r * c2 - r2 * c) / (a * c2 - a2 * c))
+        x = nxt
+    return GammaSolution(gamma_of(p, x, y), x, y)
 
 
 def sweep_curve(p: CodeParams, file_size, steps: int) -> list[TradeoffPoint]:

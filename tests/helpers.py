@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -10,6 +11,13 @@ from rackcoop import linalg, params
 from rackcoop.codec import CodeSpec, global_symbols
 from rackcoop.field import Field
 from rackcoop.linalg import Matrix
+from rackcoop.params import CodeParams, gamma_of
+from rackcoop.tradeoff import (
+    GammaSolution,
+    InfeasibleAlphaError,
+    compositions,
+    feasible,
+)
 
 
 @lru_cache(maxsize=None)
@@ -97,3 +105,82 @@ def mbcr_vector(spec: CodeSpec, mm: Matrix, rack: int) -> np.ndarray:
     top = linalg.mat_vec(mm, spec.v_col(rack))
     bottom = linalg.mat_vec(linalg.transpose(mm), spec.u_col(rack))
     return np.concatenate([top, bottom])
+
+
+# -- the vertex-enumeration LP, as a reference for the frontier walk ---------
+#
+# Every pairwise intersection of the bound's piece-boundary lines is a
+# candidate vertex, checked with the exact feasibility primitive.  Cubic in
+# the number of lines, so the tests afford it only for small m.
+
+
+def reference_constraint_lines(p: CodeParams, file_size: Fraction, alpha: Fraction):
+    """Boundary lines A*beta1 + C*beta2 = rhs of the linear pieces of the bound.
+
+    Each composition contributes one line per nonempty subset of clamped-
+    active positions; coincident lines are deduplicated.
+    """
+    epf = Fraction(p.e, p.f)
+    lines = set()
+    for u in compositions(p.m, p.f):
+        g = len(u)
+        terms = []
+        prefix = 0
+        for part in u:
+            terms.append((part * (p.d - prefix), part * (p.f - part), part))
+            prefix += part
+        for mask in range(1, 1 << g):
+            a = c = w = 0
+            for i in range(g):
+                if mask >> i & 1:
+                    a += terms[i][0]
+                    c += terms[i][1]
+                    w += terms[i][2]
+            rhs = file_size - p.k * alpha + epf * alpha * w
+            lines.add((Fraction(a), Fraction(c), rhs))
+    lines.add((Fraction(1), Fraction(0), Fraction(0)))  # beta1 = 0
+    lines.add((Fraction(0), Fraction(1), Fraction(0)))  # beta2 = 0
+    return lines
+
+
+def reference_min_gamma_given_alpha(p: CodeParams, file_size, alpha) -> GammaSolution:
+    """Minimize d*beta1 + (f-1)*beta2 subject to the bound supporting ``file_size``.
+
+    The feasible region in (beta1, beta2) is an intersection of superlevel
+    sets of concave piecewise-linear functions, hence a polyhedron inside
+    the nonnegative quadrant; the optimum sits on a vertex formed by two of
+    the piece-boundary lines (axes included), so all pairwise intersections
+    are enumerated and checked with the exact feasibility primitive.
+    """
+    file_size = Fraction(file_size)
+    alpha = Fraction(alpha)
+    if file_size <= 0:
+        raise ValueError("file size must be positive")
+    if alpha < Fraction(file_size, p.k):
+        raise InfeasibleAlphaError(
+            f"alpha = {alpha} below the minimum B/k = {Fraction(file_size, p.k)}"
+        )
+    lines = list(reference_constraint_lines(p, file_size, alpha))
+    candidates = set()
+    for i in range(len(lines)):
+        a1, c1, r1 = lines[i]
+        for j in range(i + 1, len(lines)):
+            a2, c2, r2 = lines[j]
+            det = a1 * c2 - a2 * c1
+            if det == 0:
+                continue
+            b1 = (r1 * c2 - r2 * c1) / det
+            b2 = (a1 * r2 - a2 * r1) / det
+            if b1 >= 0 and b2 >= 0:
+                candidates.add((b1, b2))
+    best: GammaSolution | None = None
+    for b1, b2 in sorted(candidates):
+        g = gamma_of(p, b1, b2)
+        if best is not None and g >= best.gamma:
+            continue
+        if feasible(p, file_size, alpha, b1, b2):
+            best = GammaSolution(g, b1, b2)
+    # alpha >= B/k guarantees feasibility for large enough betas, so a
+    # vertex always exists.
+    assert best is not None
+    return best

@@ -34,6 +34,30 @@ def test_tradeoff_sweep_csv(tmp_path, capsys):
     assert rows[1][-1] == "MSRCR" and rows[-1][-1] == "MBRCR"
 
 
+# Printed by the vertex-enumeration LP, which needs seconds per point at m = 6.
+SWEEP_M6 = """\
+params n=24 k=12 d=6 r=12 e=2 f=2 (m=6)
+B = 1
+MSRCR: alpha=1/12 beta1=1/24 beta2=1/24 gamma=7/24
+MBRCR: alpha=13/126 beta1=1/63 beta2=1/126 gamma=13/126
+construction: alpha=13 beta1=2 beta2=1 B=126 outer-code length=204
+  alpha=1/12 gamma=7/24 MSRCR
+  alpha=173/2016 gamma=941/4032 custom
+  alpha=89/1008 gamma=767/4032 custom
+  alpha=61/672 gamma=533/3360 custom
+  alpha=47/504 gamma=39/280 custom
+  alpha=193/2016 gamma=767/6048 custom
+  alpha=11/112 gamma=13/112 custom
+  alpha=29/288 gamma=221/2016 custom
+  alpha=13/126 gamma=13/126 MBRCR
+"""
+
+
+def test_tradeoff_sweep_m6_stdout(capsys):
+    assert run_cli("tradeoff", "--params", "24,12,6,12,2,2", "--B", "1", "--sweep", "8") == 0
+    assert capsys.readouterr().out == SWEEP_M6
+
+
 def test_verify_mincut_agreement(capsys):
     code = run_cli(
         "verify-mincut", "--params", "8,4,2,4,2,2",
@@ -53,6 +77,21 @@ def test_verify_mincut_rational_arguments(capsys):
     )
     assert code == 0
     assert "AGREE" in capsys.readouterr().out
+
+
+def test_verify_mincut_restricted_stages(capsys):
+    """With fewer stages than m no composition of m may fit, so the oracle
+    can exceed the bound; that is consistent, not an integrity failure."""
+    code = run_cli(
+        "verify-mincut", "--params", "16,8,4,8,2,2",
+        "--alpha", "9", "--beta1", "2", "--beta2", "1", "--max-stages", "1",
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "bound (composition enumeration): 60" in out
+    assert "oracle (flow-graph min over scenarios): 66" in out
+    assert "restricted family: at most 1 of m=4 stages" in out
+    assert out.splitlines()[-1] == "CONSISTENT"
 
 
 def test_malformed_rational_exit_1(capsys):

@@ -3,10 +3,17 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import brute_force_compositions, sample_tuples
+from helpers import (
+    all_valid_tuples,
+    brute_force_compositions,
+    reference_min_gamma_given_alpha,
+    sample_tuples,
+)
 from rackcoop import params, tradeoff
 from rackcoop.tradeoff import (
+    GammaSolution,
     InfeasibleAlphaError,
     bound_rhs,
     compositions,
@@ -181,6 +188,70 @@ def test_min_gamma_corner_identities_random():
         mb = params.mbrcr_point(p_, b)
         assert min_gamma_given_alpha(p_, b, ms.alpha).gamma == ms.gamma
         assert min_gamma_given_alpha(p_, b, mb.alpha).gamma == mb.gamma
+
+
+@st.composite
+def _lp_cases(draw):
+    """An m <= 4 tuple, a fractional file size, and alpha at a corner, at
+    three times the minimum-bandwidth alpha, or at a rational in between."""
+    p_ = sample_tuples(draw(st.randoms(use_true_random=False)), 1,
+                       predicate=lambda q: q.m <= 4)[0]
+    b = Fr(draw(st.integers(1, 500)), draw(st.integers(1, 9)))
+    lo = params.msrcr_point(p_, b).alpha
+    hi = params.mbrcr_point(p_, b).alpha
+    alpha = draw(st.one_of(
+        st.sampled_from([lo, hi, 3 * hi]),
+        st.fractions(0, 1, max_denominator=1000).map(lambda s: lo + s * (hi - lo)),
+    ))
+    return p_, b, alpha
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_lp_cases())
+def test_min_gamma_matches_vertex_enumeration(case):
+    """The frontier walk returns exactly the reference's solution, including
+    its tie-break: the lexicographically smallest optimal (beta1, beta2)."""
+    p_, b, alpha = case
+    assert min_gamma_given_alpha(p_, b, alpha) == reference_min_gamma_given_alpha(p_, b, alpha)
+
+
+# Solutions of the vertex-enumeration reference at m = 6, where it takes
+# seconds per point: alpha at 1/4, 1/2 and 3/4 of the way between the
+# corners, with B from the construction.
+PINNED_M6 = [
+    ((24, 12, 6, 12, 2, 2), 126, Fr(89, 8), (Fr(767, 32), Fr(59, 16), Fr(59, 32))),
+    ((24, 12, 6, 12, 2, 2), 126, Fr(47, 4), (Fr(351, 20), Fr(27, 10), Fr(27, 20))),
+    ((24, 12, 6, 12, 2, 2), 126, Fr(99, 8), (Fr(117, 8), Fr(9, 4), Fr(9, 8))),
+    ((24, 12, 8, 12, 3, 3), 186, Fr(129, 8), (Fr(99, 4), Fr(109, 40), Fr(59, 40))),
+    ((24, 12, 8, 12, 3, 3), 186, Fr(67, 4), (Fr(234, 11), Fr(26, 11), Fr(13, 11))),
+    ((24, 12, 8, 12, 3, 3), 186, Fr(139, 8), (Fr(309, 16), Fr(103, 48), Fr(103, 96))),
+]
+
+
+@pytest.mark.parametrize("tup, b, alpha, want", PINNED_M6)
+def test_min_gamma_pinned_m6(tup, b, alpha, want):
+    p_ = params.validate(*tup)
+    assert params.construction_params(p_).file_size == b
+    assert min_gamma_given_alpha(p_, b, alpha) == GammaSolution(*want)
+
+
+def test_min_gamma_curves_m_at_least_5():
+    """Every m >= 5 tuple of the box: exact corners, a non-increasing convex
+    curve, and a bound that is tight at every interior point."""
+    pool = [q for q in all_valid_tuples(24, 8) if q.m >= 5]
+    assert len(pool) == 170
+    for p_ in pool:
+        b = Fr(params.construction_params(p_).file_size)
+        ms, mb = params.msrcr_point(p_, b), params.mbrcr_point(p_, b)
+        assert min_gamma_given_alpha(p_, b, ms.alpha).gamma == ms.gamma
+        assert min_gamma_given_alpha(p_, b, mb.alpha).gamma == mb.gamma
+        points = tradeoff.sweep_curve(p_, b, 8)
+        slopes = [(q.gamma - pt.gamma) / (q.alpha - pt.alpha)
+                  for pt, q in zip(points, points[1:])]
+        assert all(s <= 0 for s in slopes), p_
+        assert slopes == sorted(slopes), p_
+        for pt in points[1:-1]:
+            assert max_file_size(p_, pt.alpha, pt.beta1, pt.beta2).value == b, p_
 
 
 # ---------------------------------------------------------------------------
