@@ -196,8 +196,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_collect(args) -> int:
-    state, spec = harness.load(args.out)
     nodes = _parse_nodes(args.nodes)
+    state, spec = harness.load(args.out, nodes=nodes)
     message = codec.collect(spec, state, nodes)
     data = spec.field.to_bytes(message) if args.raw else unpack_message(message, spec)
     Path(args.recover).write_bytes(data)
@@ -214,7 +214,8 @@ def _cmd_repair(args) -> int:
         raise CliError(f"--helpers must be integers, got {args.helpers!r}") from None
     stage = params_mod.RepairStage.make(failed, helpers)
     transcript = harness.repair_round(spec, state, stage)
-    harness.save(state, spec, args.dir)
+    rebuilt = [(rack, i) for rack, idxs in stage.failed for i in idxs]
+    harness.save(state, spec, args.dir, nodes=rebuilt)
     for rack in stage.racks:
         print(f"rack {rack}: {transcript.cross_symbols(rack)} cross-rack symbols")
     for helper, dst, count in transcript.round1:

@@ -28,6 +28,7 @@ encode and collect are derived from it.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 import random
@@ -114,12 +115,8 @@ class ClusterState:
                 yield rack, node
 
     def clone(self) -> "ClusterState":
-        out = ClusterState(self.params, self.field, self.alpha)
-        for rack, node in self.node_ids():
-            if not self.is_erased(rack, node):
-                out.set_node(rack, node, self.node(rack, node))
-            else:
-                out.erase(rack, node)
+        out = copy.copy(self)  # node arrays are read-only, so racks may share them
+        out._racks = [list(rack) for rack in self._racks]
         return out
 
     def __eq__(self, other):
@@ -458,6 +455,9 @@ def _candidate(p, field, layout, rng, attempt):
     v = linalg.vandermonde(p.d + p.f, uv_points, field)
 
     dense = attempt >= MAX_ATTEMPTS // 2
+    # attempt 0 gives every rack the Cauchy matrix on 0 .. n/r - 1; later
+    # structured attempts draw a fresh one per (node, rack)
+    lam = linalg.cauchy(field, range(epf), range(epf, epf + w)) if attempt == 0 else None
     parities = []
     for i in range(1, epf + 1):
         row = []
@@ -469,16 +469,21 @@ def _candidate(p, field, layout, rng, attempt):
                     dtype=np.int64,
                 )
             else:
-                if attempt == 0:
-                    cs = list(range(epf + w))
-                else:
+                if attempt:
                     cs = rng.sample(range(q), epf + w)
-                lam = linalg.cauchy(field, cs[:epf], cs[epf:])
-                pm = np.kron(lam.data[i - 1], np.eye(layout.alpha, dtype=np.int64))
+                    lam = linalg.cauchy(field, cs[:epf], cs[epf:])
+                pm = _parity_block(lam.data[i - 1], layout.alpha)
             full = np.vstack([pm, np.zeros((1, w * layout.alpha), dtype=np.int64)])
             row.append(Matrix(field, full))
         parities.append(tuple(row))
     return g, u, v, tuple(parities)
+
+
+def _parity_block(lam_row, alpha: int) -> np.ndarray:
+    """[lam_row[0] I | ... | lam_row[w-1] I] with alpha x alpha identity blocks."""
+    lam = np.asarray(lam_row, dtype=np.int64)
+    eye = np.eye(alpha, dtype=np.int64)
+    return (lam[None, :, None] * eye[:, None, :]).reshape(alpha, lam.size * alpha)
 
 
 def _verify_spec(spec: CodeSpec) -> str | None:

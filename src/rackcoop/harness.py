@@ -172,16 +172,39 @@ def _digest_nodes(state: ClusterState) -> str:
     return h.hexdigest()
 
 
-def save(state: ClusterState, spec: CodeSpec, directory) -> Manifest:
-    """Write ``state`` with a layout-v2 manifest naming ``spec`` by its certificate."""
+class PartialClusterState(ClusterState):
+    """A cluster that ``load(directory, nodes=...)`` read only in part.
+
+    The node files in ``unread`` were checked for existence only and are held
+    as erased; :func:`save` refuses such a state, so a partial read never
+    overwrites a manifest."""
+
+    def __init__(self, params: CodeParams, field, alpha: int, unread):
+        super().__init__(params, field, alpha)
+        self.unread = frozenset(unread)
+
+
+def save(state: ClusterState, spec: CodeSpec, directory, nodes=None) -> Manifest:
+    """Write ``state`` with a layout-v2 manifest naming ``spec`` by its certificate.
+
+    Every node's digest is taken from ``state``, but only the node files of
+    ``nodes`` (default: all) are written, then ``manifest.json`` last.  A
+    caller passing ``nodes`` vouches that every other file already holds its
+    node's bytes, as after a ``load`` that changed only those nodes.
+    """
+    if isinstance(state, PartialClusterState):
+        raise ValueError(f"cannot save a cluster read in part ({len(state.unread)} files unread)")
     root = Path(directory)
-    nodes = {}
-    for rack, node in state.node_ids():
-        name = _node_name(rack, node)
-        data = b"" if state.is_erased(rack, node) else state.field.to_bytes(state.node(rack, node))
-        (root / name).parent.mkdir(parents=True, exist_ok=True)
-        (root / name).write_bytes(data)
-        nodes[name] = hashlib.sha256(data).hexdigest()
+    payloads = {
+        pair: b"" if state.is_erased(*pair) else state.field.to_bytes(state.node(*pair))
+        for pair in state.node_ids()
+    }
+    wanted = payloads.keys() if nodes is None else set(map(tuple, nodes))
+    written = [pair for pair in payloads if pair in wanted]
+    for rack in dict.fromkeys(rack for rack, _ in written):
+        (root / f"rack_{rack}").mkdir(parents=True, exist_ok=True)
+    for pair in written:
+        _write(root / _node_name(*pair), payloads[pair])
     manifest = Manifest(
         params=spec.params,
         field_spec=spec.field.spec,
@@ -191,20 +214,40 @@ def save(state: ClusterState, spec: CodeSpec, directory) -> Manifest:
         erased=tuple(state.erased_nodes()),
         attempt=spec.attempt,
         fingerprint=spec.fingerprint,
-        nodes=nodes,
+        nodes={_node_name(*pair): hashlib.sha256(data).hexdigest()
+               for pair, data in payloads.items()},
     )
-    (root / "manifest.json").write_text(manifest.to_json())
+    _write(root / "manifest.json", manifest.to_json().encode())
     return manifest
 
 
-def load(directory) -> tuple[ClusterState, CodeSpec]:
+def _write(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path``, overwriting an existing file in place.
+
+    Opening with truncation would empty the file first, and ext4 then forces
+    its new blocks to disk when it is closed (the ``auto_da_alloc`` heuristic),
+    which costs several times the write itself."""
+    try:
+        with open(path, "r+b") as fh:
+            fh.write(data)
+            fh.truncate()
+    except FileNotFoundError:
+        path.write_bytes(data)
+
+
+def load(directory, nodes=None) -> tuple[ClusterState, CodeSpec]:
     """Read a cluster and the code instance its manifest names.
 
     A v2 manifest's code is candidate ``attempt`` of ``codec.candidates``,
     taken without re-verification: its fingerprint must equal the manifest's.
     A v1 manifest's code is rebuilt and verified by ``codec.build_code``.  A
     missing node file is reported on stderr and loaded as erased; a node
-    file that is present must match its digest.
+    file that is read must match its digest.
+
+    With ``nodes``, a v2 cluster reads and checks only those node files; the
+    others are checked for existence only, and if any is left unread the
+    result is a :class:`PartialClusterState`.  A v1 digest covers every
+    file, so a v1 cluster is always read whole.
     """
     root = Path(directory)
     try:
@@ -229,10 +272,18 @@ def load(directory) -> tuple[ClusterState, CodeSpec]:
         )
     erased = set(manifest.erased)
     state = ClusterState(p, f, spec.alpha)
+    unread = set()
+    if nodes is not None and manifest.nodes is not None:
+        unread = set(state.node_ids()) - set(map(tuple, nodes))
+    if unread:
+        state = PartialClusterState(p, f, spec.alpha, unread)
     for rack, node in state.node_ids():
         name = _node_name(rack, node)
         path = root / name
         try:
+            if (rack, node) in unread:
+                path.stat()  # a missing file still warns; a present one stays unread
+                continue
             data = path.read_bytes()
         except FileNotFoundError:
             if (rack, node) not in erased:

@@ -236,10 +236,15 @@ def vandermonde(rows: int, points, field: Field) -> Matrix:
         raise LinalgError("Vandermonde points must be distinct")
     if rows > field.order:
         raise LinalgError(f"{rows} rows exceed field order {field.order}")
-    data = np.zeros((rows, len(pts)), dtype=np.int64)
-    data[0, :] = 1
-    for i in range(1, rows):
-        data[i] = field.vec_mul(data[i - 1], np.array(pts, dtype=np.int64))
+    data = np.ones((rows, len(pts)), dtype=np.int64)
+    power = np.array(pts, dtype=np.int64)  # points ** filled
+    filled = 1
+    while filled < rows:  # rows[f:2f] = rows[:f] * points**f
+        step = min(filled, rows - filled)
+        data[filled : filled + step] = field.vec_mul(data[:step], power)
+        filled += step
+        if filled < rows:
+            power = field.vec_mul(power, power)
     return Matrix(field, data)
 
 
@@ -311,8 +316,6 @@ def cauchy(field: Field, xs, ys) -> Matrix:
     ys = [field.check(y) for y in ys]
     if len(set(xs) | set(ys)) != len(xs) + len(ys):
         raise LinalgError("Cauchy parameters must be pairwise distinct")
-    data = np.zeros((len(xs), len(ys)), dtype=np.int64)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            data[i, j] = field.inv(field.sub(x, y))
-    return Matrix(field, data)
+    x = np.array(xs, dtype=np.int64)
+    y = np.array(ys, dtype=np.int64)
+    return Matrix(field, field.vec_inv(field.vec_sub(x[:, None], y[None, :])))

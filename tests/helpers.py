@@ -184,3 +184,38 @@ def reference_min_gamma_given_alpha(p: CodeParams, file_size, alpha) -> GammaSol
     # vertex always exists.
     assert best is not None
     return best
+
+
+# -- the per-entry constructors, as references for the vectorized ones -------
+
+
+def reference_vandermonde(rows: int, points, field: Field) -> Matrix:
+    """Entry (i, j) = points[j]**i, one row at a time (B - 1 vec_mul calls)."""
+    pts = [field.check(p) for p in points]
+    if len(set(pts)) != len(pts):
+        raise linalg.LinalgError("Vandermonde points must be distinct")
+    if rows > field.order:
+        raise linalg.LinalgError(f"{rows} rows exceed field order {field.order}")
+    data = np.zeros((rows, len(pts)), dtype=np.int64)
+    data[0, :] = 1
+    for i in range(1, rows):
+        data[i] = field.vec_mul(data[i - 1], np.array(pts, dtype=np.int64))
+    return Matrix(field, data)
+
+
+def reference_cauchy(field: Field, xs, ys) -> Matrix:
+    """Cauchy matrix 1/(x_i - y_j), one scalar inverse per entry."""
+    xs = [field.check(x) for x in xs]
+    ys = [field.check(y) for y in ys]
+    if len(set(xs) | set(ys)) != len(xs) + len(ys):
+        raise linalg.LinalgError("Cauchy parameters must be pairwise distinct")
+    data = np.zeros((len(xs), len(ys)), dtype=np.int64)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            data[i, j] = field.inv(field.sub(x, y))
+    return Matrix(field, data)
+
+
+def reference_parity_block(lam_row, alpha: int) -> np.ndarray:
+    """[lam_row[0] I | ... | lam_row[w-1] I] with alpha x alpha identities."""
+    return np.kron(lam_row, np.eye(alpha, dtype=np.int64))

@@ -2,10 +2,11 @@ import csv
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
-from rackcoop import cli, codec
+from rackcoop import cli, codec, harness
 
 
 def run_cli(*argv):
@@ -383,6 +384,61 @@ def test_collect_survives_missing_node_file(tmp_path, capsys):
     assert run_cli("collect", "--out", str(cluster),
                    "--nodes", "1:2,2:2,3:1,4:1", "--recover", str(out)) == 1
     assert "(4, 1) is erased" in capsys.readouterr().err
+
+
+def _dir_files(cluster):
+    return {str(f.relative_to(cluster)): f.read_bytes() for f in sorted(cluster.rglob("*.*"))}
+
+
+def _flip_byte(path):
+    data = bytearray(path.read_bytes())
+    data[0] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def test_repair_writes_only_the_rebuilt_files(tmp_path):
+    """Every file's modification time is set to the epoch first, so a write,
+    however it is made, shows as a newer one."""
+    cluster = _encode_cluster(tmp_path)
+    before = _dir_files(cluster)
+    for name in before:
+        os.utime(cluster / name, ns=(0, 0))
+    assert run_cli("repair", "--dir", str(cluster),
+                   "--racks", "1,3", "--nodes", "2/1", "--helpers", "2,4") == 0
+    written = {name for name in before if (cluster / name).stat().st_mtime_ns}
+    assert written == {"rack_1/node_2.bin", "rack_3/node_1.bin", "manifest.json"}
+    assert _dir_files(cluster) == before
+
+
+def test_collect_reads_only_its_collector(tmp_path, monkeypatch, capsys):
+    """A corrupt node file outside the collector is never read; inside the
+    collector it still fails its digest."""
+    cluster = _encode_cluster(tmp_path)
+    _flip_byte(cluster / "rack_4" / "node_1.bin")
+
+    def save(*args, **kwargs):
+        raise AssertionError("collect must not save the cluster it read in part")
+
+    monkeypatch.setattr(harness, "save", save)
+    read = []
+    real_read = Path.read_bytes
+
+    def read_bytes(path):
+        read.append(path.name if path.suffix == ".json" else f"{path.parent.name}/{path.name}")
+        return real_read(path)
+
+    monkeypatch.setattr(Path, "read_bytes", read_bytes)
+    out = tmp_path / "o"
+    assert run_cli("collect", "--out", str(cluster),
+                   "--nodes", "1:2,2:2,3:1,3:2", "--recover", str(out)) == 0
+    assert sorted(read) == ["manifest.json", "rack_1/node_2.bin", "rack_2/node_2.bin",
+                            "rack_3/node_1.bin", "rack_3/node_2.bin"]
+    monkeypatch.undo()
+    assert out.read_bytes() == b"hello"
+    capsys.readouterr()
+    assert run_cli("collect", "--out", str(cluster),
+                   "--nodes", "1:2,2:2,3:1,4:1", "--recover", str(out)) == 2
+    assert "rack_4/node_1.bin does not match its digest" in capsys.readouterr().err
 
 
 def _node_files(cluster):

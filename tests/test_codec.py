@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import all_k_subsets, mbcr_vector, message_matrices
+from helpers import all_k_subsets, mbcr_vector, message_matrices, reference_parity_block
 from rackcoop import codec, field, harness, linalg, params
 from rackcoop.codec import (
     CodeBuildError,
@@ -155,6 +155,17 @@ def test_candidates_is_the_build_sequence(base_params, base_spec):
     sequence = list(codec.candidates(base_params, field.gf256(), seed=7))
     assert [spec.attempt for spec in sequence] == list(range(codec.MAX_ATTEMPTS))
     assert sequence[base_spec.attempt] == base_spec
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from([field.gf256(), field.gf65536(), field.prime_field(257)]).flatmap(
+    lambda f: st.lists(st.integers(0, f.order - 1), max_size=5)), st.integers(1, 6))
+def test_parity_block_matches_kron(lam_row, alpha):
+    """The broadcast parity block equals np.kron(lam_row, I_alpha), empty rows included."""
+    got = codec._parity_block(np.array(lam_row, dtype=np.int64), alpha)
+    expected = reference_parity_block(np.array(lam_row, dtype=np.int64), alpha)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert got.shape == (alpha, len(lam_row) * alpha)
 
 
 def test_build_rejects_no_global_nodes():

@@ -9,6 +9,7 @@ from rackcoop.params import RepairStage
 from rackcoop.harness import (
     ClusterIntegrityError,
     LayoutVersionError,
+    PartialClusterState,
     Scenario,
     ScenarioError,
     load,
@@ -27,6 +28,7 @@ def test_save_load_roundtrip(tmp_path, base_spec, base_state):
 
 
 def test_save_load_preserves_erasures(tmp_path, fresh_state, base_spec):
+    save(fresh_state, base_spec, tmp_path / "c")  # overwritten in place below
     fresh_state.erase(2, 1)
     fresh_state.erase(3, 2)
     save(fresh_state, base_spec, tmp_path / "c")
@@ -71,6 +73,28 @@ def test_invalid_manifest_params_rejected(tmp_path, base_spec, base_state):
     (tmp_path / "c" / "manifest.json").write_text(json.dumps(doc))
     with pytest.raises(params.ParameterError):
         load(tmp_path / "c")
+
+
+def test_partial_load_reads_listed_nodes_and_is_never_saved(tmp_path, base_spec, base_state, capsys):
+    save(base_state, base_spec, tmp_path / "c")
+    listed = [(1, 1), (2, 2), (3, 1), (4, 2)]
+    (tmp_path / "c" / "rack_1" / "node_2.bin").write_bytes(b"corrupt, but never read")
+    (tmp_path / "c" / "rack_4" / "node_1.bin").unlink()
+    state, _ = load(tmp_path / "c", nodes=listed)
+    assert isinstance(state, PartialClusterState)
+    assert state.unread == set(base_state.node_ids()) - set(listed)
+    assert state.erased_nodes() == sorted(state.unread)
+    for pair in listed:
+        assert np.array_equal(state.node(*pair), base_state.node(*pair))
+    assert "rack_4/node_1.bin is missing" in capsys.readouterr().err
+    for partial in (state, state.clone()):
+        with pytest.raises(ValueError, match="read in part"):
+            save(partial, base_spec, tmp_path / "c")
+    assert (tmp_path / "c" / "rack_1" / "node_2.bin").read_bytes() == b"corrupt, but never read"
+    # with every node listed nothing is left unread, so the state is a whole one
+    save(base_state, base_spec, tmp_path / "d")
+    full, _ = load(tmp_path / "d", nodes=list(base_state.node_ids()))
+    assert type(full) is codec.ClusterState and full == base_state
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import identity, random_matrix
+from helpers import identity, random_matrix, reference_cauchy, reference_vandermonde
 from rackcoop import linalg
 from rackcoop.field import gf256, gf65536, prime_field
 from rackcoop.linalg import (
@@ -183,6 +183,38 @@ def test_cauchy_every_minor_invertible():
         for rows in itertools.combinations(range(3), size):
             for cols in itertools.combinations(range(4), size):
                 assert rank(c.take_rows(rows).take_columns(cols)) == size
+
+
+_FIELDS = (gf256(), gf65536(), prime_field(257))
+
+
+@st.composite
+def _distinct_points(draw):
+    f = draw(st.sampled_from(_FIELDS))
+    points = draw(st.lists(st.integers(0, f.order - 1), unique=True, max_size=12))
+    return f, points
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_distinct_points(), st.integers(1, 20), st.data())
+def test_constructors_match_per_entry_reference(case, rows, data):
+    """The doubling Vandermonde and the one-pass Cauchy build exactly the
+    arrays of the row-by-row and entry-by-entry references, including rows
+    beyond the number of points and empty xs or ys."""
+    f, points = case
+    assert vandermonde(rows, points, f) == reference_vandermonde(rows, points, f)
+    split = data.draw(st.integers(0, len(points)))
+    xs, ys = points[:split], points[split:]
+    got = cauchy(f, xs, ys)
+    assert got == reference_cauchy(f, xs, ys) and got.data.shape == (len(xs), len(ys))
+
+
+def test_constructors_edge_cases_match_reference():
+    for f in _FIELDS:
+        for rows, points in ((1, [3, 5]), (1, []), (3, []), (7, [2, 9]), (16, [1, 2, 3])):
+            assert vandermonde(rows, points, f) == reference_vandermonde(rows, points, f)
+        for xs, ys in (([], []), ([], [1, 2]), ([1, 2], []), ([4], [7])):
+            assert cauchy(f, xs, ys) == reference_cauchy(f, xs, ys)
 
 
 # ---------------------------------------------------------------------------
