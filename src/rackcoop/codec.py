@@ -67,71 +67,61 @@ class EncodingError(ValueError):
 
 
 class ClusterState:
-    """r racks of n/r nodes, each holding alpha symbols or an erased mark."""
+    """r racks of n/r nodes in generator row order (``CodeParams.row``):
+    ``symbols[row]`` holds a node's alpha symbols and ``erased[row]`` marks it
+    lost, its row then zero.  A new state has every node erased."""
 
     def __init__(self, params: CodeParams, field: Field, alpha: int):
         self.params = params
         self.field = field
         self.alpha = alpha
-        self._racks: list[list[np.ndarray | None]] = [
-            [None] * params.nodes_per_rack for _ in range(params.r)
-        ]
-
-    def _check_id(self, rack: int, node: int) -> None:
-        if not (1 <= rack <= self.params.r and 1 <= node <= self.params.nodes_per_rack):
-            raise KeyError(f"no node ({rack}, {node})")
+        self.symbols = np.zeros((params.n, alpha), dtype=np.int64)
+        self.erased = np.ones(params.n, dtype=bool)
 
     def set_node(self, rack: int, node: int, symbols) -> None:
-        self._check_id(rack, node)
-        arr = np.asarray(symbols, dtype=np.int64).copy()
+        row = self.params.row(rack, node)
+        arr = np.asarray(symbols, dtype=np.int64)
         if arr.shape != (self.alpha,):
             raise EncodingError(f"node ({rack}, {node}) needs {self.alpha} symbols")
         if arr.size and (arr.min() < 0 or arr.max() >= self.field.order):
             raise EncodingError("symbol outside field range")
-        arr.setflags(write=False)
-        self._racks[rack - 1][node - 1] = arr
+        self.symbols[row] = arr
+        self.erased[row] = False
 
     def node(self, rack: int, node: int) -> np.ndarray:
-        self._check_id(rack, node)
-        data = self._racks[rack - 1][node - 1]
-        if data is None:
+        """A copy of the node's symbols: callers keep it as a snapshot."""
+        row = self.params.row(rack, node)
+        if self.erased[row]:
             raise CodeIntegrityError(f"node ({rack}, {node}) is erased")
-        return data
+        return self.symbols[row].copy()
 
     def erase(self, rack: int, node: int) -> None:
-        self._check_id(rack, node)
-        self._racks[rack - 1][node - 1] = None
+        """Mark the node lost and zero its row, so no repair can read its old bytes."""
+        row = self.params.row(rack, node)
+        self.symbols[row] = 0
+        self.erased[row] = True
 
     def is_erased(self, rack: int, node: int) -> bool:
-        self._check_id(rack, node)
-        return self._racks[rack - 1][node - 1] is None
+        return bool(self.erased[self.params.row(rack, node)])
 
     def erased_nodes(self) -> list[tuple[int, int]]:
-        return [pair for pair in self.node_ids() if self.is_erased(*pair)]
+        return [pair for pair, gone in zip(self.params.node_ids(), self.erased.tolist()) if gone]
 
-    def node_ids(self):
-        for rack in range(1, self.params.r + 1):
-            for node in range(1, self.params.nodes_per_rack + 1):
-                yield rack, node
+    def node_ids(self) -> list[tuple[int, int]]:
+        return self.params.node_ids()
 
     def clone(self) -> "ClusterState":
-        out = copy.copy(self)  # node arrays are read-only, so racks may share them
-        out._racks = [list(rack) for rack in self._racks]
+        out = copy.copy(self)
+        out.symbols = self.symbols.copy()
+        out.erased = self.erased.copy()
         return out
 
     def __eq__(self, other):
         if not isinstance(other, ClusterState):
             return NotImplemented
-        if (self.params, self.field, self.alpha) != (other.params, other.field, other.alpha):
-            return False
-        for rack, node in self.node_ids():
-            if self.is_erased(rack, node) != other.is_erased(rack, node):
-                return False
-            if not self.is_erased(rack, node) and not np.array_equal(
-                self.node(rack, node), other.node(rack, node)
-            ):
-                return False
-        return True
+        return ((self.params, self.field, self.alpha) == (other.params, other.field, other.alpha)
+                and np.array_equal(self.erased, other.erased)
+                and np.array_equal(self.symbols[~self.erased], other.symbols[~other.erased]))
 
 
 @dataclass(frozen=True)
@@ -221,7 +211,7 @@ class CodeSpec:
 
     def node_rows(self, rack: int, node: int) -> slice:
         """Rows of :attr:`generator` holding node (rack, node)'s symbols."""
-        start = ((rack - 1) * self.params.nodes_per_rack + node - 1) * self.alpha
+        start = self.params.row(rack, node) * self.alpha
         return slice(start, start + self.alpha)
 
     @cached_property
@@ -565,10 +555,8 @@ def _collector_rank_problem(spec: CodeSpec):
     per_node = spec.generator.data.reshape(p.n, spec.alpha, -1)
     bad = linalg.first_deficient(spec.field, _collector_subsets(spec),
                                  lambda idx: _stacked(per_node[idx]))
-    if bad is None:
-        return None
-    npr = p.nodes_per_rack
-    return tuple((j // npr + 1, j % npr + 1) for j in bad)
+    ids = p.node_ids()
+    return None if bad is None else tuple(ids[j] for j in bad)
 
 
 def collector_coverage(spec: CodeSpec) -> str:
@@ -600,10 +588,10 @@ def global_symbols(spec: CodeSpec, message) -> np.ndarray:
 
 
 def encode(spec: CodeSpec, message) -> ClusterState:
-    symbols = linalg.mat_vec(spec.generator, _check_message(spec, message))
     state = ClusterState(spec.params, spec.field, spec.alpha)
-    for rack, node in state.node_ids():
-        state.set_node(rack, node, symbols[spec.node_rows(rack, node)])
+    symbols = linalg.mat_vec(spec.generator, _check_message(spec, message))
+    state.symbols[:] = symbols.reshape(state.symbols.shape)
+    state.erased[:] = False
     return state
 
 
@@ -620,24 +608,29 @@ def collect(spec: CodeSpec, state: ClusterState, nodes) -> np.ndarray:
     """Recover the message from any k live nodes.
 
     The k*alpha observed symbols are solved against the stacked generator
-    rows; the k*alpha - B redundant ones must agree, so a corrupt collector
-    symbol raises ``CodeIntegrityError`` instead of decoding to wrong bytes.
+    rows.  Rows of rank < B are the code's failure; otherwise the k*alpha - B
+    redundant symbols must agree, so a corrupt collector symbol raises
+    ``CodeIntegrityError`` instead of decoding to wrong bytes.
     """
     p = spec.params
     chosen = sorted(set((int(r), int(i)) for r, i in nodes))
     if len(chosen) != p.k:
         raise EncodingError(f"collect needs exactly {p.k} distinct nodes, got {len(chosen)}")
-    for rack, node in chosen:
-        if not (1 <= rack <= p.r and 1 <= node <= p.nodes_per_rack):
-            raise EncodingError(f"collector node ({rack}, {node}) out of range")
-        if state.is_erased(rack, node):
-            raise EncodingError(f"collector node ({rack}, {node}) is erased")
-    stacked = stack_functionals(spec, chosen)
-    observed = np.concatenate([state.node(rack, node) for rack, node in chosen])
     try:
-        return linalg.solve_full_rank(stacked, observed)
-    except linalg.LinalgError as exc:  # rank lost or redundant symbols disagree
-        raise CodeIntegrityError(f"collect failed ({exc}); a node or the code is corrupt") from exc
+        rows = [p.row(*pair) for pair in chosen]
+    except KeyError as exc:
+        raise EncodingError(f"collector {exc.args[0]}") from None
+    erased = [pair for pair, row in zip(chosen, rows) if state.erased[row]]
+    if erased:
+        raise EncodingError(f"collector node {erased[0]} is erased")
+    try:
+        return linalg.solve_full_rank(stack_functionals(spec, chosen), state.symbols[rows].ravel())
+    except linalg.SingularMatrixError as exc:
+        raise CodeIntegrityError(f"this code cannot decode collector {chosen} ({exc}); collectors "
+                                 f"checked at build: {collector_coverage(spec)}") from exc
+    except linalg.LinalgError as exc:
+        raise CodeIntegrityError(
+            f"redundant symbols disagree ({exc}): a collector node is corrupt") from exc
 
 
 # -- repair -------------------------------------------------------------
@@ -659,20 +652,16 @@ def strip_parities(spec: CodeSpec, rack: int, state: ClusterState) -> dict[int, 
     """
     p = spec.params
     epf, a = p.failures_per_rack, spec.alpha
-    c_parts = []
-    for node in range(epf + 1, p.nodes_per_rack + 1):
-        if state.is_erased(rack, node):
-            raise CodeIntegrityError(
-                f"global node ({rack}, {node}) erased; cannot strip parities"
-            )
-        c_parts.append(state.node(rack, node))
+    start = p.row(rack, 1)
+    stored = state.symbols[start : start + p.nodes_per_rack]
+    erased = state.erased[start : start + p.nodes_per_rack].tolist()
+    if any(erased[epf:]):
+        node = epf + 1 + erased[epf:].index(True)
+        raise CodeIntegrityError(f"global node ({rack}, {node}) erased; cannot strip parities")
     parities = _products(spec.field, spec.rack_maps[rack - 1].data[: epf * a],
-                         np.concatenate(c_parts)[:, None])[:, 0]
-    return {
-        i: spec.field.vec_sub(state.node(rack, i), parities[(i - 1) * a : i * a])
-        for i in range(1, epf + 1)
-        if not state.is_erased(rack, i)
-    }
+                         stored[epf:].reshape(-1, 1))[:, 0]
+    clean = spec.field.vec_sub(stored[:epf], parities.reshape(epf, a))
+    return {i: clean[i - 1] for i in range(1, epf + 1) if not erased[i - 1]}
 
 
 def complete_mbcr_vector(spec: CodeSpec, rack: int, stored: np.ndarray) -> np.ndarray:
@@ -767,19 +756,20 @@ def repair(spec: CodeSpec, state: ClusterState, failed, helpers) -> tuple[Cluste
     m_u = linalg.solve(v_sub_t, proj.reshape(d + p.f, -1)).reshape(proj.shape)
 
     # In-rack restoration through the rack map.
+    npr = p.nodes_per_rack
     for s, (rack, lost) in enumerate(stage.failed):
         # Row i-1: the product-matrix part of node i's stored symbols.
         pm_part = np.concatenate([m_v[s], m_u[:, :, s]])[:a].T
-        available = {
-            i: state.node(rack, i) if i > epf else f.vec_sub(state.node(rack, i), pm_part[i - 1])
-            for i in range(1, p.nodes_per_rack + 1) if i not in lost
-        }
-        c_l = recover_rack_globals(spec, rack, available)
+        start = p.row(rack, 1)
+        rack_rows = state.symbols[start : start + npr]  # a view: rebuilt rows land in the state
+        c_parts = np.concatenate([f.vec_sub(rack_rows[:epf], pm_part), rack_rows[epf:]])
+        c_l = recover_rack_globals(
+            spec, rack, {i: c_parts[i - 1] for i in range(1, npr + 1) if i not in lost})
         parts = _products(f, _rack_rows(spec, rack, lost).data, c_l[:, None]).reshape(-1, a)
         for i, part in zip(lost, parts):
-            state.set_node(rack, i, part if i > epf else f.vec_add(part, pm_part[i - 1]))
+            rack_rows[i - 1] = part if i > epf else f.vec_add(part, pm_part[i - 1])
+        state.erased[[start + i - 1 for i in lost]] = False
 
-    npr = p.nodes_per_rack
     intra_rack = {"helper_rack_reads": len(helper_racks) * (npr - 1) * a,
                   "failed_rack_reads": len(failed_racks) * (npr - epf) * a}
     return state, RepairTranscript(sorted(round1), sorted(round2), intra_rack)

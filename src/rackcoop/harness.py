@@ -108,8 +108,7 @@ class Manifest:
         p = params_mod.validate(
             *(_typed(pp, key, int, "params.") for key in ("n", "k", "d", "r", "e", "f"))
         )
-        ids = {(rack, node) for rack in range(1, p.r + 1)
-               for node in range(1, p.nodes_per_rack + 1)}
+        ids = set(p.node_ids())
         pairs = {tuple(pair) for pair in erased
                  if type(pair) is list and all(type(x) is int for x in pair)}
         if len(pairs) != len(erased) or not pairs <= ids:
@@ -159,15 +158,19 @@ def _node_name(rack: int, node: int) -> str:
     return f"rack_{rack}/node_{node}.bin"
 
 
+def _payloads(state: ClusterState) -> dict[tuple[int, int], bytes]:
+    """Each node file's bytes, in row order: its symbols, or none if erased."""
+    width = state.alpha * state.field.symbol_bytes
+    data = state.field.to_bytes(state.symbols)
+    return {pair: b"" if state.erased[row] else data[row * width : (row + 1) * width]
+            for row, pair in enumerate(state.node_ids())}
+
+
 def _digest_nodes(state: ClusterState) -> str:
     """The layout-v1 digest: one SHA-256 over every node file."""
     h = hashlib.sha256()
-    for rack, node in state.node_ids():
-        if state.is_erased(rack, node):
-            payload = b""
-        else:
-            payload = state.field.to_bytes(state.node(rack, node))
-        h.update(f"{_node_name(rack, node)}:{len(payload)}:".encode())
+    for pair, payload in _payloads(state).items():
+        h.update(f"{_node_name(*pair)}:{len(payload)}:".encode())
         h.update(payload)
     return h.hexdigest()
 
@@ -195,10 +198,7 @@ def save(state: ClusterState, spec: CodeSpec, directory, nodes=None) -> Manifest
     if isinstance(state, PartialClusterState):
         raise ValueError(f"cannot save a cluster read in part ({len(state.unread)} files unread)")
     root = Path(directory)
-    payloads = {
-        pair: b"" if state.is_erased(*pair) else state.field.to_bytes(state.node(*pair))
-        for pair in state.node_ids()
-    }
+    payloads = _payloads(state)
     wanted = payloads.keys() if nodes is None else set(map(tuple, nodes))
     written = [pair for pair in payloads if pair in wanted]
     for rack in dict.fromkeys(rack for rack, _ in written):
@@ -271,13 +271,12 @@ def load(directory, nodes=None) -> tuple[ClusterState, CodeSpec]:
             "manifest layout disagrees with the rebuilt code instance"
         )
     erased = set(manifest.erased)
-    state = ClusterState(p, f, spec.alpha)
     unread = set()
     if nodes is not None and manifest.nodes is not None:
-        unread = set(state.node_ids()) - set(map(tuple, nodes))
-    if unread:
-        state = PartialClusterState(p, f, spec.alpha, unread)
-    for rack, node in state.node_ids():
+        unread = set(p.node_ids()) - set(map(tuple, nodes))
+    state = (PartialClusterState(p, f, spec.alpha, unread) if unread
+             else ClusterState(p, f, spec.alpha))
+    for rack, node in p.node_ids():
         name = _node_name(rack, node)
         path = root / name
         try:
@@ -289,7 +288,6 @@ def load(directory, nodes=None) -> tuple[ClusterState, CodeSpec]:
             if (rack, node) not in erased:
                 print(f"warning: {path} is missing; node ({rack}, {node}) is loaded as erased",
                       file=sys.stderr)
-            state.erase(rack, node)
             continue
         if manifest.nodes is not None and hashlib.sha256(data).hexdigest() != manifest.nodes[name]:
             raise ClusterIntegrityError(f"{path} does not match its digest in the manifest")
@@ -298,7 +296,6 @@ def load(directory, nodes=None) -> tuple[ClusterState, CodeSpec]:
                 raise ClusterIntegrityError(
                     f"{path} marked erased but holds {len(data)} bytes"
                 )
-            state.erase(rack, node)
         else:
             symbols = f.from_bytes(data)
             if symbols.shape != (spec.alpha,):
@@ -321,8 +318,7 @@ class Scenario:
 def random_scenario(p: CodeParams, seed: int, n_rounds: int, n_probes: int) -> Scenario:
     rng = random.Random(seed)
     rounds = tuple(RepairStage.random(p, rng) for _ in range(n_rounds))
-    ids = [(r, i) for r in range(1, p.r + 1) for i in range(1, p.nodes_per_rack + 1)]
-    probes = tuple(tuple(sorted(rng.sample(ids, p.k))) for _ in range(n_probes))
+    probes = tuple(tuple(sorted(rng.sample(p.node_ids(), p.k))) for _ in range(n_probes))
     return Scenario(seed=seed, rounds=rounds, probes=probes)
 
 
@@ -386,8 +382,7 @@ def run_scenario(spec: CodeSpec, state: ClusterState, scenario: Scenario,
     layout = spec.layout
     gamma = layout.gamma
     if expected_message is None:
-        ids = [(r, i) for r in range(1, p.r + 1)
-               for i in range(p.failures_per_rack + 1, p.nodes_per_rack + 1)]
+        ids = [(r, i) for r, i in p.node_ids() if i > p.failures_per_rack]
         reference = codec.collect(spec, state, ids[: p.k]) if len(ids) >= p.k else None
         if reference is None:
             probe = scenario.probes[0] if scenario.probes else None

@@ -44,6 +44,17 @@ class CodeParams:
     def as_tuple(self):
         return (self.n, self.k, self.d, self.r, self.e, self.f)
 
+    def node_ids(self) -> list[tuple[int, int]]:
+        """Every 1-based (rack, node) id, in generator row order."""
+        return [(rack, node) for rack in range(1, self.r + 1)
+                for node in range(1, self.nodes_per_rack + 1)]
+
+    def row(self, rack: int, node: int) -> int:
+        """Index of (rack, node) in :meth:`node_ids`; ``KeyError`` outside the cluster."""
+        if not (1 <= rack <= self.r and 1 <= node <= self.nodes_per_rack):
+            raise KeyError(f"node ({rack}, {node}) out of range")
+        return (rack - 1) * self.nodes_per_rack + node - 1
+
 
 def validate(n: int, k: int, d: int, r: int, e: int, f: int) -> CodeParams:
     """Check every model constraint, reporting all violations at once."""

@@ -501,3 +501,71 @@ def test_v1_cluster_collects_and_repairs_to_v2(tmp_path, monkeypatch):
     assert run_cli("collect", "--out", str(cluster),
                    "--nodes", "1:2,2:1,3:2,4:1", "--recover", str(out)) == 0
     assert out.read_bytes() == b"hello" and not verified
+
+
+def test_collect_names_the_code_when_a_collector_cannot_decode(tmp_path, capsys):
+    """At (16,7,1,4,1,1) seed 0 the build accepts attempt 21 on a sampled
+    collector check, and this collector has rank 13 < B = 14 on an intact
+    cluster: the failure is the code's, not corruption."""
+    src = tmp_path / "message.bin"
+    src.write_bytes(b"hello")
+    cluster = tmp_path / "cluster"
+    assert run_cli("encode", "--params", "16,7,1,4,1,1", "--seed", "0",
+                   "--in", str(src), "--out", str(cluster)) == 0
+    assert "collectors checked: 956 distinct sampled of 11,440" in capsys.readouterr().out
+    out = tmp_path / "o"
+    assert run_cli("collect", "--out", str(cluster), "--nodes", "1:1,1:2,1:4,2:1,2:3,3:1,3:4",
+                   "--recover", str(out)) == 2
+    err = capsys.readouterr().err
+    assert ("this code cannot decode collector [(1, 1), (1, 2), (1, 4), (2, 1), (2, 3), "
+            "(3, 1), (3, 4)] (column rank 13 < 14") in err
+    assert "collectors checked at build: 956 distinct sampled of 11,440" in err
+    assert "corrupt" not in err
+    assert run_cli("collect", "--out", str(cluster), "--nodes", "1:1,1:2,1:3,2:1,2:3,3:1,3:4",
+                   "--recover", str(out)) == 0
+    assert out.read_bytes() == b"hello"
+
+
+def test_collect_names_corruption_when_redundant_symbols_disagree(tmp_path, capsys):
+    """A node file whose digest was recorded after it went bad passes load;
+    the collector's redundant symbols then expose it."""
+    cluster = _encode_cluster(tmp_path)
+    victim = cluster / "rack_2" / "node_2.bin"
+    _flip_byte(victim)
+    digest = hashlib.sha256(victim.read_bytes()).hexdigest()
+    _edit_manifest(cluster, lambda doc: doc["nodes"].update({"rack_2/node_2.bin": digest}))
+    assert run_cli("collect", "--out", str(cluster), "--nodes", "1:2,2:2,3:2,4:2",
+                   "--recover", str(tmp_path / "o")) == 2
+    assert ("redundant symbols disagree (inconsistent linear system): "
+            "a collector node is corrupt") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params, payload, collector, failure, manifest_sha256", [
+    ("8,4,2,4,2,2", b"rack-aware coo", "1:1,2:2,3:1,4:2", ("1,3", "2/1", "2,4"),
+     "41051052e5d4dfdf83a46b43af663d32a2ebf2622bf551ef1d5db8de24de5a3b"),
+    ("16,8,4,8,2,2", b"rack-aware coo", "1:1,2:2,3:1,4:2,5:1,6:2,7:1,8:2",
+     ("1,5", "2/1", "2,3,4,6"),
+     "7b3a4aa01635626855a3392021c002a162bf17bc86cc7b960e15e3642462f3a5"),
+    ("10,5,1,2,1,1", b"rack-a", "1:1,1:3,2:2,2:4,2:5", ("1", "3", "2"),
+     "9ced3aee205db6fff0e4a6af7ba0917db4ca069182f168bd0afb64cdc6e7bf51"),
+])
+def test_cluster_bytes_pinned(tmp_path, params, payload, collector, failure, manifest_sha256):
+    """The manifest records the code's fingerprint and every node file's
+    SHA-256, so its own digest pins the cluster's bytes.  Encode writes, and
+    repair restores, exactly the cluster earlier releases wrote."""
+    src = tmp_path / "message.bin"
+    src.write_bytes(payload)
+    cluster = tmp_path / "cluster"
+    manifest = cluster / "manifest.json"
+    assert run_cli("encode", "--params", params, "--seed", "0",
+                   "--in", str(src), "--out", str(cluster)) == 0
+    assert hashlib.sha256(manifest.read_bytes()).hexdigest() == manifest_sha256
+    out = tmp_path / "o"
+    assert run_cli("collect", "--out", str(cluster), "--nodes", collector,
+                   "--recover", str(out)) == 0
+    assert out.read_bytes() == payload
+    before = _dir_files(cluster)
+    racks, nodes, helpers = failure
+    assert run_cli("repair", "--dir", str(cluster), "--racks", racks, "--nodes", nodes,
+                   "--helpers", helpers) == 0
+    assert _dir_files(cluster) == before

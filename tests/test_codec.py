@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import pickle
 import random
 
 import numpy as np
@@ -289,6 +290,38 @@ def test_every_node_stores_alpha_symbols(base_spec, base_state):
 def test_encode_wrong_length(base_spec):
     with pytest.raises(EncodingError):
         encode(base_spec, np.zeros(17, dtype=np.int64))
+
+
+def test_encode_is_one_generator_product(base_spec, base_message, base_state):
+    want = linalg.mat_vec(base_spec.generator, base_message)
+    assert np.array_equal(base_state.symbols.ravel(), want)
+    assert not base_state.erased.any()
+
+
+# ---------------------------------------------------------------------------
+# cluster state
+# ---------------------------------------------------------------------------
+
+def test_erase_leaves_no_copy_of_the_old_bytes(fresh_state):
+    """An erased node's bytes are gone from the state, so no repair can
+    rebuild the node by reading them."""
+    old = fresh_state.node(2, 1)
+    assert old.any()
+    fresh_state.erase(2, 1)
+    with pytest.raises(CodeIntegrityError, match="erased"):
+        fresh_state.node(2, 1)
+    held = pickle.dumps([value for name, value in vars(fresh_state).items()
+                         if name not in ("params", "field")])
+    assert old.astype(np.int64).tobytes() not in held
+
+
+def test_clone_is_independent(base_spec, base_message):
+    original = encode(base_spec, base_message)
+    clone = original.clone()
+    clone.set_node(1, 1, np.zeros(base_spec.alpha, dtype=np.int64))
+    clone.erase(2, 2)
+    assert clone != original
+    assert original == encode(base_spec, base_message)
 
 
 def test_generator_matches_paper_formula(base_spec, two_matrix_spec):

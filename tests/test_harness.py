@@ -97,6 +97,22 @@ def test_partial_load_reads_listed_nodes_and_is_never_saved(tmp_path, base_spec,
     assert type(full) is codec.ClusterState and full == base_state
 
 
+def test_node_ids_are_the_generator_row_order(tmp_path, base_spec, base_state, fresh_state):
+    p = base_spec.params
+    ids = p.node_ids()
+    assert [p.row(*pair) for pair in ids] == list(range(p.n))
+    assert [base_spec.node_rows(*pair).start for pair in ids] == list(
+        range(0, p.n * base_spec.alpha, base_spec.alpha))
+    for pair in reversed(ids):
+        fresh_state.erase(*pair)
+    assert fresh_state.erased_nodes() == ids
+    manifest = save(base_state, base_spec, tmp_path / "c")
+    assert list(manifest.nodes) == [f"rack_{rack}/node_{node}.bin" for rack, node in ids]
+    for rack, node in ((0, 1), (p.r + 1, 1), (1, 0), (1, p.nodes_per_rack + 1)):
+        with pytest.raises(KeyError, match=f"node \\({rack}, {node}\\) out of range"):
+            p.row(rack, node)
+
+
 # ---------------------------------------------------------------------------
 # scenario runs
 # ---------------------------------------------------------------------------
@@ -111,6 +127,25 @@ def test_seeded_scenario_run(base_spec, base_message):
         assert set(cross.values()) == {5}
     text = report.format()
     assert "gamma = 5" in text
+
+
+def test_repair_round_rejects_a_wrong_rebuild(base_spec, fresh_state, monkeypatch):
+    """repair_round compares each rebuilt node with a snapshot taken before
+    the erase, so the snapshot must not change with the state."""
+    real_repair = codec.repair
+
+    def wrong_repair(spec, state, failed, helpers):
+        out = real_repair(spec, state, failed, helpers)
+        rack, (node, *_) = failed[0]
+        symbols = state.node(rack, node).copy()
+        symbols[0] ^= 1
+        state.set_node(rack, node, symbols)
+        return out
+
+    monkeypatch.setattr(codec, "repair", wrong_repair)
+    stage = RepairStage.make({1: (2,), 3: (1,)}, (2, 4))
+    with pytest.raises(ScenarioError, match=r"node \(1, 2\) restored incorrectly"):
+        harness.repair_round(base_spec, fresh_state, stage)
 
 
 def test_scenario_reference_derived_without_message(base_spec, base_message):
