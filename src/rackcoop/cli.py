@@ -206,13 +206,13 @@ def _cmd_collect(args) -> int:
 
 
 def _cmd_repair(args) -> int:
-    state, spec = harness.load(args.dir)
     failed = _parse_failures(args.racks, args.nodes)
     try:
         helpers = tuple(int(x) for x in args.helpers.split(","))
     except ValueError:
         raise CliError(f"--helpers must be integers, got {args.helpers!r}") from None
     stage = params_mod.RepairStage.make(failed, helpers)
+    state, spec = harness.load(args.dir)
     transcript = harness.repair_round(spec, state, stage)
     rebuilt = [(rack, i) for rack, idxs in stage.failed for i in idxs]
     harness.save(state, spec, args.dir, nodes=rebuilt)

@@ -164,10 +164,6 @@ class CodeSpec:
         return self.layout.file_size
 
     @property
-    def n_global(self) -> int:
-        return self.layout.n_global
-
-    @property
     def globals_per_rack(self) -> int:
         return self.params.nodes_per_rack - self.params.failures_per_rack
 
@@ -236,34 +232,37 @@ class CodeSpec:
     @cached_property
     def generator(self) -> Matrix:
         """The (n*alpha) x B matrix mapping the message to every stored
-        symbol, node by node in (rack, node) order (see :meth:`node_rows`):
-        each rack's map on its global columns, plus the product-matrix part."""
-        p = self.params
-        w = np.zeros((p.n * self.alpha, self.n_global), dtype=np.int64)
-        rack_rows = p.nodes_per_rack * self.alpha
+        symbol, node by node in (rack, node) order (see :meth:`node_rows`),
+        one rack at a time: the rack map times the G^T rows of the rack's
+        global columns, plus on node i <= e/f the product-matrix map times M_i's."""
+        p, f, gt = self.params, self.field, self.G.data.T
+        epf = p.failures_per_rack
+        # M_1, M_2, ... feed the outer code's last e/f * m(2d+f-m) columns
+        matrix_rows = gt[self.message_matrix_col(1, 0, 0) :].reshape(epf, -1, gt.shape[1])
+        maps = self._product_matrix_maps()
+        blocks = []
         for rack in range(1, p.r + 1):
-            for i in range(1, p.failures_per_rack + 1):
-                w[self.node_rows(rack, i)] = self._product_matrix_map(rack, i)
-            # The product-matrix part has no column in a rack's global slice.
-            w[(rack - 1) * rack_rows : rack * rack_rows, self.rack_global_slice(rack)] = (
-                self.rack_maps[rack - 1].data
-            )
-        return Matrix(self.field, linalg._raw_matmul(self.field, w, self.G.data.T))
+            block = linalg.products(f, self.rack_maps[rack - 1].data,
+                                    gt[self.rack_global_slice(rack)])
+            block = block.reshape(p.nodes_per_rack, self.alpha, -1)
+            block[:epf] = f.vec_add(block[:epf], linalg.products(f, maps[rack - 1], matrix_rows))
+            blocks.append(block.reshape(-1, gt.shape[1]))
+        return Matrix(f, np.vstack(blocks))
 
-    def _product_matrix_map(self, rack: int, i: int) -> np.ndarray:
-        """alpha x N matrix mapping outer-code symbols to the first alpha
-        entries of [M_i v_l ; M_i^T u_l] for rack l = ``rack``."""
+    def _product_matrix_maps(self) -> np.ndarray:
+        """Per rack l, the alpha x m(2d+f-m) matrix mapping M_i's outer-code
+        columns, the same for every i, to the first alpha entries of
+        [M_i v_l ; M_i^T u_l]: an (r, alpha, m(2d+f-m)) array."""
         p = self.params
-        u_l = self.u_col(rack)
-        v_l = self.v_col(rack)
-        w = np.zeros((self.alpha, self.n_global), dtype=np.int64)
+        first = self.message_matrix_col(1, 0, 0)
+        w = np.zeros((p.r, self.alpha, p.m * (2 * p.d + p.f - p.m)), dtype=np.int64)
         for row in range(p.d):
             for c in range(p.d + p.f):
-                col = self.message_matrix_col(i, row, c)
+                col = self.message_matrix_col(1, row, c)
                 if col is not None:
-                    w[row, col] = v_l[c]  # (M_i v_l)[row] = sum_c v_l[c] M_i[row, c]
-                    if p.d + c < self.alpha:  # (M_i^T u_l)[c] = sum_row u_l[row] M_i[row, c]
-                        w[p.d + c, col] = u_l[row]
+                    w[:, row, col - first] = self.V.data[c]  # (M_i v_l)[row] += v_l[c] M_i[row, c]
+                    if p.d + c < self.alpha:  # (M_i^T u_l)[c] += u_l[row] M_i[row, c]
+                        w[:, p.d + c, col - first] = self.U.data[row]
         return w
 
 
@@ -542,7 +541,7 @@ def recover_rack_globals(spec: CodeSpec, rack: int, available: dict) -> np.ndarr
             raise CodeIntegrityError(f"vector-MDS solve failed in rack {rack}") from exc
         spec._restoration_inverses[key] = inverse
     rhs = np.concatenate([np.asarray(available[i], dtype=np.int64) for i in nodes])
-    return _products(spec.field, spec._restoration_inverses[key], rhs[:, None])[:, 0]
+    return linalg.products(spec.field, spec._restoration_inverses[key], rhs[:, None])[:, 0]
 
 
 def _collector_subsets(spec: CodeSpec):
@@ -636,12 +635,6 @@ def collect(spec: CodeSpec, state: ClusterState, nodes) -> np.ndarray:
 # -- repair -------------------------------------------------------------
 
 
-def _products(f: Field, a, b) -> np.ndarray:
-    """The matrix product ``a @ b`` over ``f``, broadcast over leading axes, as
-    one row-wise vec_mul and vec_sum (for the small operands of repair)."""
-    return f.vec_sum(f.vec_mul(a[..., :, :, None], b[..., None, :, :]), axis=-2)
-
-
 def strip_parities(spec: CodeSpec, rack: int, state: ClusterState) -> dict[int, np.ndarray]:
     """Clean stored product-matrix symbols of rack ``rack``.
 
@@ -658,8 +651,8 @@ def strip_parities(spec: CodeSpec, rack: int, state: ClusterState) -> dict[int, 
     if any(erased[epf:]):
         node = epf + 1 + erased[epf:].index(True)
         raise CodeIntegrityError(f"global node ({rack}, {node}) erased; cannot strip parities")
-    parities = _products(spec.field, spec.rack_maps[rack - 1].data[: epf * a],
-                         stored[epf:].reshape(-1, 1))[:, 0]
+    parities = linalg.products(spec.field, spec.rack_maps[rack - 1].data[: epf * a],
+                               stored[epf:].reshape(-1, 1))[:, 0]
     clean = spec.field.vec_sub(stored[:epf], parities.reshape(epf, a))
     return {i: clean[i - 1] for i in range(1, epf + 1) if not erased[i - 1]}
 
@@ -672,13 +665,12 @@ def complete_mbcr_vector(spec: CodeSpec, rack: int, stored: np.ndarray) -> np.nd
     through the last coordinate of v_l.  ``stored`` is one vector or one
     vector per row.
     """
-    p = spec.params
     f = spec.field
     u_l = spec.u_col(rack)
     v_l = spec.v_col(rack)
-    lhs = f.vec_sum(f.vec_mul(stored[..., : p.d], u_l), axis=-1)
-    partial = f.vec_sum(f.vec_mul(stored[..., p.d :], v_l[:-1]), axis=-1)
-    last = f.vec_mul(f.vec_sub(lhs, partial), f.inv(int(v_l[-1])))
+    # missing = (u_l . stored[:d] - v_l[:-1] . stored[d:]) / v_l[-1], as one dot product
+    weights = f.vec_mul(np.concatenate([u_l, f.vec_sub(0, v_l[:-1])]), f.inv(int(v_l[-1])))
+    last = linalg.products(f, stored[..., None, :], weights[:, None])[..., 0, 0]
     return np.concatenate([stored, np.asarray(last)[..., None]], axis=-1)
 
 
@@ -733,8 +725,8 @@ def repair(spec: CodeSpec, state: ClusterState, failed, helpers) -> tuple[Cluste
         complete_mbcr_vector(spec, j, np.vstack(list(strip_parities(spec, j, state).values())))
         for j in helper_racks
     ])
-    sent1 = np.stack([_products(f, vecs[..., :d], u_failed),
-                      _products(f, vecs[..., d:], v_failed)], axis=1)
+    sent1 = np.stack([linalg.products(f, vecs[..., :d], u_failed),
+                      linalg.products(f, vecs[..., d:], v_failed)], axis=1)
     round1 = [(j, l, sent1[h, :, :, s].size)
               for h, j in enumerate(helper_racks) for s, l in enumerate(failed_racks)]
 
@@ -745,7 +737,7 @@ def repair(spec: CodeSpec, state: ClusterState, failed, helpers) -> tuple[Cluste
 
     # Round 2: sent2[s, r] = (u_t^T M_i v_l)_i for l = failed_racks[s] and
     # t = failed_racks[r]; rack l sends it to rack t unless r == s.
-    sent2 = _products(f, u_failed.T, m_v)
+    sent2 = linalg.products(f, u_failed.T, m_v)
     round2 = [(l, t, sent2[s, r].size)
               for s, l in enumerate(failed_racks) for r, t in enumerate(failed_racks) if r != s]
 
@@ -765,7 +757,7 @@ def repair(spec: CodeSpec, state: ClusterState, failed, helpers) -> tuple[Cluste
         c_parts = np.concatenate([f.vec_sub(rack_rows[:epf], pm_part), rack_rows[epf:]])
         c_l = recover_rack_globals(
             spec, rack, {i: c_parts[i - 1] for i in range(1, npr + 1) if i not in lost})
-        parts = _products(f, _rack_rows(spec, rack, lost).data, c_l[:, None]).reshape(-1, a)
+        parts = linalg.products(f, _rack_rows(spec, rack, lost).data, c_l[:, None]).reshape(-1, a)
         for i, part in zip(lost, parts):
             rack_rows[i - 1] = part if i > epf else f.vec_add(part, pm_part[i - 1])
         state.erased[[start + i - 1 for i in lost]] = False

@@ -92,32 +92,31 @@ def zeros(field: Field, rows: int, cols: int) -> Matrix:
     return Matrix(field, np.zeros((rows, cols), dtype=np.int64))
 
 
+def products(f: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The matrix product ``a @ b`` over ``f``, broadcast over leading axes, as
+    one elementwise vec_mul and one vec_sum over the inner axis."""
+    return f.vec_sum(f.vec_mul(a[..., :, :, None], b[..., None, :, :]), axis=-2)
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     f = _same_field(a, b)
     if a.cols != b.rows:
         raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return Matrix(f, _raw_matmul(f, a.data, b.data))
-
-
-def _raw_matmul(f: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for t in range(a.shape[1]):
-        out = f.vec_add(out, f.vec_mul(a[:, t][:, None], b[t, :][None, :]))
-    return out
+    return Matrix(f, products(f, a.data, b.data))
 
 
 def mat_vec(a: Matrix, v) -> np.ndarray:
     v = np.asarray(v, dtype=np.int64)
     if v.ndim != 1 or v.size != a.cols:
         raise DimensionError(f"vector length {v.size} incompatible with {a.cols} columns")
-    return _raw_matmul(a.field, a.data, v[:, None])[:, 0]
+    return products(a.field, a.data, v[:, None])[:, 0]
 
 
 def vec_mat(v, a: Matrix) -> np.ndarray:
     v = np.asarray(v, dtype=np.int64)
     if v.ndim != 1 or v.size != a.rows:
         raise DimensionError(f"vector length {v.size} incompatible with {a.rows} rows")
-    return _raw_matmul(a.field, v[None, :], a.data)[0, :]
+    return products(a.field, v[None, :], a.data)[0, :]
 
 
 def transpose(a: Matrix) -> Matrix:

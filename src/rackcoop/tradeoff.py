@@ -99,24 +99,25 @@ def _halfplanes(m: int, f: int, d: int) -> tuple[tuple[int, int, int], ...]:
     another has a' <= a, c' <= c and w' >= w, because with beta >= 0 and
     (e/f)*alpha > 0 that one implies it; what is left depends on neither
     alpha nor the file size.
+
+    The sums run along prefix sums 0..m: from prefix s the next part u <= f
+    adds (u*(d - s), u*(f - u), u) to a sum or is left out of S.  A completion
+    adds the same to every sum at a prefix, so each prefix keeps only the sums
+    no other implies.
     """
-    triples = set()
-    for u in compositions(m, f):
-        terms = []
-        prefix = 0
-        for part in u:
-            terms.append((part * (d - prefix), part * (f - part), part))
-            prefix += part
-        for mask in range(1, 1 << len(u)):
-            picked = [t for i, t in enumerate(terms) if mask >> i & 1]
-            triples.add(tuple(map(sum, zip(*picked))))
-    # In this order every triple comes after the ones that imply it, and
-    # implication is transitive, so comparing with the kept ones suffices.
-    kept: list[tuple[int, int, int]] = []
-    for a, c, w in sorted(triples, key=lambda t: (t[0], t[1], -t[2])):
-        if not any(c2 <= c and w2 >= w for _, c2, w2 in kept):
-            kept.append((a, c, w))
-    return tuple(kept)
+    sums = [{(0, 0, 0)}] + [set() for _ in range(m)]
+    for s in range(m + 1):
+        # In this order every triple comes after the ones that imply it, and
+        # implication is transitive, so comparing with the kept ones suffices.
+        kept: list[tuple[int, int, int]] = []
+        for a, c, w in sorted(sums[s], key=lambda t: (t[0], t[1], -t[2])):
+            if not any(c2 <= c and w2 >= w for _, c2, w2 in kept):
+                kept.append((a, c, w))
+        for part in range(1, min(f, m - s) + 1):
+            sums[s + part].update(kept)
+            sums[s + part].update((a + part * (d - s), c + part * (f - part), w + part)
+                                  for a, c, w in kept)
+    return tuple(kept[1:])  # kept[0] is (0, 0, 0), from the empty S
 
 
 def min_gamma_given_alpha(p: CodeParams, file_size, alpha) -> GammaSolution:

@@ -219,3 +219,60 @@ def reference_cauchy(field: Field, xs, ys) -> Matrix:
 def reference_parity_block(lam_row, alpha: int) -> np.ndarray:
     """[lam_row[0] I | ... | lam_row[w-1] I] with alpha x alpha identities."""
     return np.kron(lam_row, np.eye(alpha, dtype=np.int64))
+
+
+# -- the loop kernel and the dense generator, as references for the ---------
+# -- broadcast product and the per-rack build --------------------------------
+
+
+def reference_matmul(f: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` over ``f`` for 2-D operands, one rank-1 update per inner index."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for t in range(a.shape[1]):
+        out = f.vec_add(out, f.vec_mul(a[:, t][:, None], b[t, :][None, :]))
+    return out
+
+
+def reference_generator(spec: CodeSpec) -> Matrix:
+    """The node generator as a dense (n*alpha) x n_global coefficient matrix,
+    filled entry by entry from the rack maps and the paper's [M_i v_l ; M_i^T u_l],
+    times G^T."""
+    p = spec.params
+    w = np.zeros((p.n * spec.alpha, spec.layout.n_global), dtype=np.int64)
+    rack_rows = p.nodes_per_rack * spec.alpha
+    for rack in range(1, p.r + 1):
+        u_l, v_l = spec.u_col(rack), spec.v_col(rack)
+        for i in range(1, p.failures_per_rack + 1):
+            node = w[spec.node_rows(rack, i)]
+            for row in range(p.d):
+                for c in range(p.d + p.f):
+                    col = spec.message_matrix_col(i, row, c)
+                    if col is not None:
+                        node[row, col] = v_l[c]  # (M_i v_l)[row]
+                        if p.d + c < spec.alpha:
+                            node[p.d + c, col] = u_l[row]  # (M_i^T u_l)[c]
+        w[(rack - 1) * rack_rows : rack * rack_rows, spec.rack_global_slice(rack)] = (
+            spec.rack_maps[rack - 1].data
+        )
+    return Matrix(spec.field, reference_matmul(spec.field, w, spec.G.data.T))
+
+
+# -- every subset of every composition, as a reference for the prefix-sum DP -
+
+
+def reference_halfplanes(m: int, f: int, d: int) -> tuple[tuple[int, int, int], ...]:
+    """The bound's Pareto-minimal (a, c, w) triples, from all nonempty subsets
+    of the positions of all compositions (subset sums taken with one mask
+    matrix per composition), then one Pareto filter."""
+    triples = set()
+    for u in compositions(m, f):
+        parts = np.array(u, dtype=np.int64)
+        prefix = np.cumsum(parts) - parts
+        terms = np.stack([parts * (d - prefix), parts * (f - parts), parts], axis=1)
+        masks = np.arange(1, 1 << len(u))[:, None] >> np.arange(len(u)) & 1
+        triples.update(map(tuple, (masks @ terms).tolist()))
+    kept: list[tuple[int, int, int]] = []
+    for a, c, w in sorted(triples, key=lambda t: (t[0], t[1], -t[2])):
+        if not any(c2 <= c and w2 >= w for _, c2, w2 in kept):
+            kept.append((a, c, w))
+    return tuple(kept)

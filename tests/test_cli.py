@@ -254,6 +254,20 @@ def test_repair_out_of_range_rack_exit_1(tmp_path, capsys):
     assert {f: f.read_bytes() for f in sorted(cluster.rglob("*")) if f.is_file()} == before
 
 
+@pytest.mark.parametrize("flag, racks, nodes, helpers", [
+    ("--racks", "1,x", "1", "3,4"),
+    ("--nodes", "1,2", "1/2/1", "3,4"),
+    ("--helpers", "1,2", "1", "3,y"),
+])
+def test_repair_parses_arguments_before_loading(tmp_path, capsys, flag, racks, nodes, helpers):
+    """A malformed argument exits 1 naming it, before any cluster is read."""
+    code = run_cli("repair", "--dir", str(tmp_path / "absent"),
+                   "--racks", racks, "--nodes", nodes, "--helpers", helpers)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert flag in err and "manifest" not in err
+
+
 def _set_seed(doc):
     doc["seed"] = "x"
 

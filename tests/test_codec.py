@@ -3,12 +3,19 @@ import functools
 import itertools
 import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import all_k_subsets, mbcr_vector, message_matrices, reference_parity_block
+from helpers import (
+    all_k_subsets,
+    mbcr_vector,
+    message_matrices,
+    reference_generator,
+    reference_parity_block,
+)
 from rackcoop import codec, field, harness, linalg, params
 from rackcoop.codec import (
     CodeBuildError,
@@ -351,6 +358,44 @@ def test_generator_matches_paper_formula(base_spec, two_matrix_spec):
                 assert np.array_equal(column[spec.node_rows(rack, node)], want), (j, rack, node)
 
 
+def _candidate(tup, make_field, attempt):
+    p = params.validate(*tup)
+    return next(itertools.islice(codec.candidates(p, make_field(), 0), attempt, None))
+
+
+@pytest.mark.parametrize("tup, make_field, attempt", [
+    ((8, 4, 2, 4, 2, 2), field.gf65536, 0),
+    ((8, 4, 2, 4, 2, 2), field.gf65536, 22),
+    ((8, 4, 2, 4, 2, 2), lambda: field.prime_field(257), 11),
+    ((16, 8, 2, 4, 4, 2), lambda: field.prime_field(257), 22),
+    ((24, 12, 6, 12, 2, 2), field.gf256, 0),
+])
+def test_generator_matches_dense_reference(tup, make_field, attempt):
+    """The per-rack build equals the dense coefficient matrix times G^T,
+    structured and dense-parity attempts, e/f = 1 and 2, three fields."""
+    spec = _candidate(tup, make_field, attempt)
+    assert spec.generator == reference_generator(spec)
+
+
+def test_built_generators_match_dense_reference(base_spec, two_matrix_spec):
+    for spec in (base_spec, two_matrix_spec):
+        assert spec.generator == reference_generator(spec)
+
+
+def test_generator_peak_memory_is_bounded():
+    """The build holds one rack's broadcast at a time, never an
+    (n*alpha) x n_global matrix: at the box's costliest tuple its peak stays
+    within three BATCH_ENTRIES int64 blocks (its outer code needs GF(2^16))."""
+    spec = _candidate((24, 23, 11, 12, 1, 1), field.gf65536, 0)
+    tracemalloc.start()
+    try:
+        spec.generator
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * linalg.BATCH_ENTRIES * 8
+
+
 def test_dropped_symbol_dependence_relation(base_spec, base_message, base_state):
     """The unstored (2d+f)-th product-matrix symbol reconstructed from the
     stored ones equals its direct computation from the message."""
@@ -589,6 +634,12 @@ def test_prime_field_roundtrip(base_params):
     msg = random_message(spec, 4)
     state = encode(spec, msg)
     assert np.array_equal(collect(spec, state, [(1, 1), (2, 1), (3, 2), (4, 2)]), msg)
+    # field subtraction is not addition here, so a sign slip in repair shows
+    reference = state.clone()
+    failed = {1: (1,), 4: (2,)}
+    erase_pattern(state, failed)
+    restored, _ = repair(spec, state, failed, helpers=(2, 3))
+    assert restored == reference
 
 
 def test_two_failures_per_rack_tuple(two_matrix_spec):

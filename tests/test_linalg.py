@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import identity, random_matrix, reference_cauchy, reference_vandermonde
+from helpers import (
+    identity,
+    random_matrix,
+    reference_cauchy,
+    reference_matmul,
+    reference_vandermonde,
+)
 from rackcoop import linalg
 from rackcoop.field import gf256, gf65536, prime_field
 from rackcoop.linalg import (
@@ -18,6 +24,7 @@ from rackcoop.linalg import (
     check_V_property,
     full_column_rank,
     matmul,
+    products,
     rank,
     solve,
     transpose,
@@ -237,6 +244,36 @@ def test_matmul_associative_random():
             b = random_matrix(f, 4, 2, rng)
             c = random_matrix(f, 2, 5, rng)
             assert matmul(matmul(a, b), c) == matmul(a, matmul(b, c))
+
+
+@st.composite
+def _product_operands(draw):
+    """A field and two stacks of matrices: shared leading axes on b, the same
+    or none on a, and every dimension possibly zero."""
+    f = draw(st.sampled_from(_FIELDS))
+    batch = tuple(draw(st.lists(st.integers(0, 3), max_size=2)))
+    rows, inner, cols = (draw(st.integers(0, 5)) for _ in range(3))
+
+    def stack(shape):
+        size = int(np.prod(shape))
+        entries = draw(st.lists(st.integers(0, f.order - 1), min_size=size, max_size=size))
+        return np.array(entries, dtype=np.int64).reshape(shape)
+
+    a_batch = batch if draw(st.booleans()) else ()
+    return f, stack(a_batch + (rows, inner)), stack(batch + (inner, cols))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_product_operands())
+def test_products_match_loop_reference(case):
+    """The broadcast product equals the rank-1-update loop on every matrix of
+    the stack, with a 2-D left operand broadcast across b's leading axes."""
+    f, a, b = case
+    got = products(f, a, b)
+    assert got.shape == b.shape[:-2] + (a.shape[-2], b.shape[-1])
+    for idx in np.ndindex(b.shape[:-2]):
+        left = a[idx] if a.ndim == b.ndim else a
+        assert np.array_equal(got[idx], reference_matmul(f, left, b[idx]))
 
 
 def test_solve_full_rank_overdetermined():

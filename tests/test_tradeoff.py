@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     all_valid_tuples,
     brute_force_compositions,
+    reference_halfplanes,
     reference_min_gamma_given_alpha,
     sample_tuples,
 )
@@ -271,3 +272,12 @@ def test_sweep_curve_and_csv(tmp_path, p):
     assert rows[0] == ["alpha_num", "alpha_den", "gamma_num", "gamma_den", "role"]
     assert rows[1] == ["9", "2", "27", "4", "MSRCR"]
     assert rows[-1] == ["5", "1", "5", "1", "MBRCR"]
+
+
+def test_halfplanes_match_subset_enumeration():
+    """The prefix-sum DP keeps exactly the Pareto-minimal triples, in the same
+    order, as enumerating every subset of every composition."""
+    for m in range(1, 11):
+        for f in range(1, m + 1):
+            for d in range(m, m + 6):
+                assert tradeoff._halfplanes(m, f, d) == reference_halfplanes(m, f, d), (m, f, d)
