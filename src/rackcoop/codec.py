@@ -599,8 +599,9 @@ def encode(spec: CodeSpec, message) -> ClusterState:
 
 def stack_functionals(spec: CodeSpec, nodes) -> Matrix:
     """Stacked generator rows of the given nodes (len(nodes)*alpha x B)."""
-    rows = [spec.generator.data[spec.node_rows(rack, node)] for rack, node in nodes]
-    return Matrix(spec.field, np.vstack(rows))
+    p, gen = spec.params, spec.generator.data
+    rows = [p.row(rack, node) for rack, node in nodes]
+    return Matrix(spec.field, gen.reshape(p.n, spec.alpha, -1)[rows].reshape(-1, gen.shape[1]))
 
 
 def collect(spec: CodeSpec, state: ClusterState, nodes) -> np.ndarray:
@@ -730,10 +731,11 @@ def repair(spec: CodeSpec, state: ClusterState, failed, helpers) -> tuple[Cluste
     round1 = [(j, l, sent1[h, :, :, s].size)
               for h, j in enumerate(helper_racks) for s, l in enumerate(failed_racks)]
 
-    # Each failed rack solves u_j^T M_i v_l = v_l^T M_i^T u_j for its M_i v_l.
+    # Each failed rack solves u_j^T M_i v_l = v_l^T M_i^T u_j for its M_i v_l;
+    # the system is the same for every rack, so all are solved at once.
     u_helpers_t = Matrix(f, spec.U.data[:, [j - 1 for j in helper_racks]].T)
-    m_v = np.stack([linalg.solve(u_helpers_t, sent1[:, 1, :, s])
-                    for s in range(len(failed_racks))])  # (rack, d, e/f)
+    m_v = linalg.solve(u_helpers_t, sent1[:, 1].reshape(d, -1)).reshape(
+        d, epf, -1).transpose(2, 0, 1)  # (rack, d, e/f)
 
     # Round 2: sent2[s, r] = (u_t^T M_i v_l)_i for l = failed_racks[s] and
     # t = failed_racks[r]; rack l sends it to rack t unless r == s.

@@ -10,7 +10,8 @@ Two families are supported:
 Field elements are plain Python ints in [0, order).  Scalar operations
 validate their operands; the vectorized operations (``vec_*``) work on
 numpy int64 arrays and skip validation, they are the hot path for the
-matrix routines in :mod:`rackcoop.linalg`.
+matrix routines in :mod:`rackcoop.linalg`, as is ``sub_outer``, the in-place
+rank-1 update of its elimination kernel.
 """
 
 from __future__ import annotations
@@ -102,6 +103,11 @@ class Field:
 
     def vec_dot(self, a, b) -> int:
         return int(self.vec_sum(self.vec_mul(np.asarray(a), np.asarray(b))))
+
+    def sub_outer(self, out, a, b) -> None:
+        """In place ``out -= a (x) b`` for a 2-D ``out`` (which may be a view)
+        and vectors ``a`` and ``b``: the rank-1 update of elimination."""
+        out[...] = self.vec_sub(out, self.vec_mul(a[:, None], b))
 
     # -- serialization (little-endian, fixed width) ------------------------
 
@@ -237,6 +243,10 @@ class BinaryField(Field):
     def vec_inv(self, a):
         n = self.order - 1
         return self._exp[(n - self._log[np.asarray(a, dtype=np.int64)]) % n]
+
+    def sub_outer(self, out, a, b) -> None:
+        # One log-domain outer sum, one antilog gather, one in-place XOR.
+        np.bitwise_xor(out, self._ext[self._log[a][:, None] + self._log[b]], out=out)
 
 
 class PrimeField(Field):

@@ -1,9 +1,11 @@
 """Dense matrix algebra over a finite field.
 
 Matrices carry their field; mixing matrices from different fields raises
-``FieldMismatchError``.  Elimination uses first-nonzero pivoting, which is
-exact over a finite field, and the row operations are vectorized through
-the field's ``vec_*`` primitives.
+``FieldMismatchError``.  ``rank``, ``solve`` and ``solve_full_rank`` share
+one elimination kernel: unscaled Gauss-Jordan with first-nonzero pivoting,
+which is exact over a finite field.  Each pivot costs one in-place rank-1
+update through the field's ``sub_outer``, and solutions are divided by
+their pivots once at the end.
 """
 
 from __future__ import annotations
@@ -123,36 +125,39 @@ def transpose(a: Matrix) -> Matrix:
     return Matrix(a.field, a.data.T)
 
 
-def _rref(f: Field, m: np.ndarray, col_limit: int | None = None):
-    """In-place reduced row echelon form; returns the list of pivot columns."""
-    rows, cols = m.shape
-    limit = cols if col_limit is None else col_limit
+def _eliminate(f: Field, m: np.ndarray, cols: int) -> list[int]:
+    """Unscaled Gauss-Jordan elimination of the first ``cols`` columns of
+    ``m``, in place; returns the pivot columns.
+
+    Column c's pivot is its first nonzero at or below the next pivot row,
+    swapped up.  One rank-1 update, ``m[:, c+1:] -= factors (x) pivot row``
+    with ``factors = m[:, c] / pivot`` and the pivot row's own factor zero,
+    eliminates column c from every other row.  Column c itself is not
+    written: its entries off the pivot are left stale, as no later step
+    reads them.  Pivot rows keep their scale, so right of its pivot, pivot
+    row i holds the reduced form's row i times ``m[i, pivots[i]]``.
+    """
+    rows = m.shape[0]
     pivots = []
-    rr = 0
-    for c in range(limit):
+    for c in range(cols):
+        rr = len(pivots)
         if rr == rows:
             break
-        nz = np.nonzero(m[rr:, c])[0]
-        if nz.size == 0:
+        nz = m[rr:, c].nonzero()[0]
+        if not nz.size:
             continue
         pr = rr + int(nz[0])
         if pr != rr:
             m[[rr, pr]] = m[[pr, rr]]
-        pivot_inv = f.inv(int(m[rr, c]))
-        m[rr] = f.vec_mul(m[rr], pivot_inv)
-        others = np.nonzero(m[:, c])[0]
-        others = others[others != rr]
-        if others.size:
-            factors = m[others, c][:, None]
-            m[others] = f.vec_sub(m[others], f.vec_mul(factors, m[rr][None, :]))
+        factors = f.vec_mul(m[:, c], f.inv(int(m[rr, c])))
+        factors[rr] = 0
+        f.sub_outer(m[:, c + 1 :], factors, m[rr, c + 1 :])
         pivots.append(c)
-        rr += 1
     return pivots
 
 
 def rank(a: Matrix) -> int:
-    m = a.data.copy()
-    return len(_rref(a.field, m))
+    return len(_eliminate(a.field, a.data.copy(), a.cols))
 
 
 def full_column_rank(f: Field, stack) -> np.ndarray:
@@ -187,14 +192,22 @@ def full_column_rank(f: Field, stack) -> np.ndarray:
 
 
 def _reduce_augmented(a: Matrix, b):
-    """Reduced ``[a | b]``, the rank of ``a``, and whether ``b`` is a vector."""
+    """Eliminated ``[a | b]`` (a fresh array), the rank of ``a``, and whether
+    ``b`` is a vector."""
     b = np.asarray(b, dtype=np.int64)
     vector = b.ndim == 1
     rhs = b[:, None] if vector else b
     if rhs.shape[0] != a.rows:
         raise DimensionError(f"rhs has {rhs.shape[0]} rows, expected {a.rows}")
-    aug = np.hstack([a.data.copy(), rhs.copy()])
-    return aug, len(_rref(a.field, aug, col_limit=a.cols)), vector
+    aug = np.hstack([a.data, rhs])
+    return aug, len(_eliminate(a.field, aug, a.cols)), vector
+
+
+def _solution(f: Field, aug: np.ndarray, cols: int, vector: bool) -> np.ndarray:
+    """x from an eliminated ``[a | b]`` with pivots on the first ``cols``
+    diagonal entries: each pivot row's right-hand side over its pivot."""
+    x = f.vec_mul(aug[:cols, cols:], f.vec_inv(np.diagonal(aug)[:cols])[:, None])
+    return x[:, 0] if vector else x
 
 
 def solve(a: Matrix, b) -> np.ndarray:
@@ -204,8 +217,7 @@ def solve(a: Matrix, b) -> np.ndarray:
     aug, rk, vector = _reduce_augmented(a, b)
     if rk < a.cols:
         raise SingularMatrixError(f"matrix is singular (rank {rk} < {a.cols})")
-    x = aug[:, a.cols :]
-    return x[:, 0] if vector else x
+    return _solution(a.field, aug, a.cols, vector)
 
 
 def solve_full_rank(a: Matrix, b) -> np.ndarray:
@@ -219,8 +231,7 @@ def solve_full_rank(a: Matrix, b) -> np.ndarray:
         raise SingularMatrixError(f"column rank {rk} < {a.cols}, system underdetermined")
     if np.any(aug[a.cols :, a.cols :]):
         raise LinalgError("inconsistent linear system")
-    x = aug[: a.cols, a.cols :]
-    return x[:, 0] if vector else x
+    return _solution(a.field, aug, a.cols, vector)
 
 
 def vandermonde(rows: int, points, field: Field) -> Matrix:

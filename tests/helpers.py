@@ -276,3 +276,71 @@ def reference_halfplanes(m: int, f: int, d: int) -> tuple[tuple[int, int, int], 
         if not any(c2 <= c and w2 >= w for _, c2, w2 in kept):
             kept.append((a, c, w))
     return tuple(kept)
+
+
+# -- the scaled elimination, as a reference for the unscaled kernel ----------
+
+
+def reference_rref(f: Field, m: np.ndarray, col_limit: int | None = None) -> list[int]:
+    """In-place reduced row echelon form; returns the list of pivot columns.
+    Each pivot row is scaled to a leading 1, then the pivot column is cleared
+    from the other rows that hold a nonzero in it."""
+    rows, cols = m.shape
+    limit = cols if col_limit is None else col_limit
+    pivots = []
+    rr = 0
+    for c in range(limit):
+        if rr == rows:
+            break
+        nz = np.nonzero(m[rr:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = rr + int(nz[0])
+        if pr != rr:
+            m[[rr, pr]] = m[[pr, rr]]
+        pivot_inv = f.inv(int(m[rr, c]))
+        m[rr] = f.vec_mul(m[rr], pivot_inv)
+        others = np.nonzero(m[:, c])[0]
+        others = others[others != rr]
+        if others.size:
+            factors = m[others, c][:, None]
+            m[others] = f.vec_sub(m[others], f.vec_mul(factors, m[rr][None, :]))
+        pivots.append(c)
+        rr += 1
+    return pivots
+
+
+def reference_rank(a: Matrix) -> int:
+    return len(reference_rref(a.field, a.data.copy()))
+
+
+def _reference_augmented(a: Matrix, b):
+    b = np.asarray(b, dtype=np.int64)
+    vector = b.ndim == 1
+    rhs = b[:, None] if vector else b
+    if rhs.shape[0] != a.rows:
+        raise linalg.DimensionError(f"rhs has {rhs.shape[0]} rows, expected {a.rows}")
+    aug = np.hstack([a.data.copy(), rhs.copy()])
+    return aug, len(reference_rref(a.field, aug, col_limit=a.cols)), vector
+
+
+def reference_solve(a: Matrix, b) -> np.ndarray:
+    """``linalg.solve`` on the reference elimination, same checks and messages."""
+    if a.rows != a.cols:
+        raise linalg.DimensionError(f"solve needs a square matrix, got {a.rows}x{a.cols}")
+    aug, rk, vector = _reference_augmented(a, b)
+    if rk < a.cols:
+        raise linalg.SingularMatrixError(f"matrix is singular (rank {rk} < {a.cols})")
+    x = aug[:, a.cols :]
+    return x[:, 0] if vector else x
+
+
+def reference_solve_full_rank(a: Matrix, b) -> np.ndarray:
+    """``linalg.solve_full_rank`` on the reference elimination, same checks and messages."""
+    aug, rk, vector = _reference_augmented(a, b)
+    if rk < a.cols:
+        raise linalg.SingularMatrixError(f"column rank {rk} < {a.cols}, system underdetermined")
+    if np.any(aug[a.cols :, a.cols :]):
+        raise linalg.LinalgError("inconsistent linear system")
+    x = aug[: a.cols, a.cols :]
+    return x[:, 0] if vector else x

@@ -10,6 +10,9 @@ from helpers import (
     random_matrix,
     reference_cauchy,
     reference_matmul,
+    reference_rank,
+    reference_solve,
+    reference_solve_full_rank,
     reference_vandermonde,
 )
 from rackcoop import linalg
@@ -297,6 +300,7 @@ def test_solve_full_rank_overdetermined():
 # ---------------------------------------------------------------------------
 
 KINDS = ("random", "small", "zero", "repeated_row", "planted")
+FIELDS = (gf256(), gf65536(), prime_field(257))
 
 
 @st.composite
@@ -304,26 +308,29 @@ def _stacks(draw):
     """A field and a (b, R, C) stack, wide, square or tall, whose matrices are
     random, small-entried, zero, with a repeated row, or with one column
     planted as a combination of the others."""
-    f = draw(st.sampled_from((gf256(), gf65536(), prime_field(257))))
+    f = draw(st.sampled_from(FIELDS))
     b, rows, cols = (draw(st.integers(1, hi)) for hi in (6, 7, 7))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    mats = []
-    for kind in draw(st.lists(st.sampled_from(KINDS), min_size=b, max_size=b)):
-        top = 3 if kind == "small" else f.order
-        m = np.array([[rng.randrange(top) for _ in range(cols)] for _ in range(rows)],
-                     dtype=np.int64)
-        if kind == "zero":
-            m[:] = 0
-        elif kind == "repeated_row" and rows > 1:
-            m[rng.randrange(1, rows)] = m[0]
-        elif kind == "planted" and cols > 1:
-            j = rng.randrange(cols)
-            m[:, j] = 0
-            for t in range(cols):
-                if t != j:
-                    m[:, j] = f.vec_add(m[:, j], f.vec_mul(m[:, t], rng.randrange(f.order)))
-        mats.append(m)
-    return f, np.stack(mats)
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=b, max_size=b))
+    return f, np.stack([_kind_matrix(f, kind, rows, cols, rng) for kind in kinds])
+
+
+def _kind_matrix(f, kind, rows, cols, rng):
+    """A rows x cols matrix of one of the KINDS."""
+    top = 3 if kind == "small" else f.order
+    m = np.array([[rng.randrange(top) for _ in range(cols)] for _ in range(rows)],
+                 dtype=np.int64).reshape(rows, cols)
+    if kind == "zero":
+        m[:] = 0
+    elif kind == "repeated_row" and rows > 1:
+        m[rng.randrange(1, rows)] = m[0]
+    elif kind == "planted" and cols > 1:
+        j = rng.randrange(cols)
+        m[:, j] = 0
+        for t in range(cols):
+            if t != j:
+                m[:, j] = f.vec_add(m[:, j], f.vec_mul(m[:, t], rng.randrange(f.order)))
+    return m
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -357,3 +364,82 @@ def test_first_deficient_keeps_subset_order_across_blocks(monkeypatch):
     monkeypatch.setattr(linalg, "BATCH_ENTRIES", 1)
     assert linalg.first_deficient(f, subsets, gather) == (3, 4)
     assert linalg.first_deficient(f, subsets[:1] + subsets[2:3], gather) is None
+
+
+# ---------------------------------------------------------------------------
+# the unscaled elimination kernel against the scaled reference
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _systems(draw):
+    """A field, a square, tall, wide or zero-size matrix of one of the KINDS,
+    and a right-hand side: a vector or a matrix of 0..3 columns, either a @ x
+    (consistent) or random entries, with one row too many one time in ten."""
+    f = draw(st.sampled_from(FIELDS))
+    shape = draw(st.sampled_from(("square", "tall", "wide", "zero-size")))
+    if shape == "zero-size":
+        rows, cols = draw(st.sampled_from([(0, 0), (0, 2), (3, 0)]))
+    else:
+        small, large = sorted(draw(st.integers(1, 8)) for _ in range(2))
+        rows, cols = {"square": (large, large), "tall": (large + 1, small),
+                      "wide": (small, large + 1)}[shape]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    a = _kind_matrix(f, draw(st.sampled_from(KINDS)), rows, cols, rng)
+    rhs_cols = draw(st.sampled_from((None, 0, 1, 2, 3)))
+    width = 1 if rhs_cols is None else rhs_cols
+    if draw(st.booleans()):
+        x = np.array([rng.randrange(f.order) for _ in range(cols * width)],
+                     dtype=np.int64).reshape(cols, width)
+        b = products(f, a, x)
+    else:
+        b = np.array([rng.randrange(f.order) for _ in range(rows * width)],
+                     dtype=np.int64).reshape(rows, width)
+    if draw(st.integers(0, 9)) == 0:
+        b = np.vstack([b, np.ones((1, width), dtype=np.int64)])
+    return Matrix(f, a), b[:, 0] if rhs_cols is None else b
+
+
+def _outcome(fn, *args):
+    try:
+        x = fn(*args)
+    except linalg.LinalgError as exc:
+        return type(exc), str(exc)
+    return x.dtype, x.shape, x.tolist()
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(_systems())
+def test_elimination_matches_reference_kernel(case):
+    """Same rank, same solution, same exception class and message as the
+    scaled reference elimination, for solve and solve_full_rank."""
+    a, b = case
+    assert rank(a) == reference_rank(a)
+    assert _outcome(solve, a, b) == _outcome(reference_solve, a, b)
+    assert _outcome(linalg.solve_full_rank, a, b) == _outcome(reference_solve_full_rank, a, b)
+
+
+@pytest.mark.parametrize("f", [gf256(), prime_field(257)], ids=["gf256", "gf257"])
+@pytest.mark.parametrize("width", [None, 2])
+def test_solvers_leave_inputs_unchanged_and_unaliased(f, width):
+    """The kernel eliminates in place, so the caller's matrix and right-hand
+    side must come back unchanged and no result may share their memory."""
+    rng = random.Random(5)
+    a = random_matrix(f, 4, 4, rng)
+    while rank(a) < 4:
+        a = random_matrix(f, 4, 4, rng)
+    tall = Matrix(f, np.vstack([a.data, a.data[:1]]))
+    data_before = a.data.copy()
+    for m in (a, tall):
+        shape = (m.rows,) if width is None else (m.rows, width)
+        x = np.array([rng.randrange(f.order) for _ in range(4 * (width or 1))],
+                     dtype=np.int64).reshape(4, -1)
+        b = products(f, m.data, x).reshape(shape)  # writable, consistent
+        b_before = b.copy()
+        results = [linalg.solve_full_rank(m, b)] + ([solve(m, b)] if m is a else [])
+        assert rank(m) == 4
+        for got in results:
+            assert np.array_equal(got.reshape(4, -1), x)
+            assert not np.shares_memory(got, b) and not np.shares_memory(got, m.data)
+        assert np.array_equal(b, b_before)
+    assert np.array_equal(a.data, data_before)
