@@ -310,56 +310,45 @@ def structural_recovery_deficiency(p: CodeParams):
     A node's stored symbols are linear functionals of a bounded set of
     outer-code coordinates: a global node sees its own alpha coordinates,
     a product-matrix node sees the m(2d+f-m) coordinates of its matrix plus
-    (through the local parity) all of its rack's global coordinates.  Since
-    any subset of outer-code columns is independent only up to size B, a
-    collector touching fewer than B coordinates cannot have rank B no
+    (through the local parity) all w = n/r - e/f global slots of its rack.
+    Since any subset of outer-code columns is independent only up to size
+    B, a collector touching fewer than B coordinates cannot have rank B no
     matter how U, V and the parities are chosen.  With several matrices
-    per rack (e/f > 1) such collectors exist for some parameters; this
-    check finds the support-minimal k-subset by dynamic programming and
-    returns ``(support, nodes)`` when its support falls below B.
+    per rack (e/f > 1) such collectors exist for some parameters.
+
+    The support-minimal k-subset has a closed form, a minimum over two
+    integers: its product-matrix nodes use matrices 1..t and lie in
+    ``full`` racks (``full = 0`` exactly when ``t = 0``).  Each such rack
+    costs its w*alpha global coordinates and holds up to t + w collector
+    nodes at no further cost; the other ``rest`` nodes are global nodes
+    elsewhere at alpha coordinates each.  Returns ``(support, nodes)`` when
+    the minimum falls below B.
     """
     layout = construction_params(p)
     epf = p.failures_per_rack
     w = p.nodes_per_rack - epf
     msize = p.m * (2 * p.d + p.f - p.m)
-    # Per-rack plans: take the first tau matrix nodes and g global nodes.
-    # Prefix matrix sets minimize the union, so the DP over
-    # (nodes used, deepest matrix prefix) is exact for the minimum.
-    plans = [
-        (tau, g)
-        for tau in range(epf + 1)
-        for g in range(w + 1)
-    ]
-    INF = float("inf")
-    best = {(0, 0): (0, [])}
-    for rack in range(1, p.r + 1):
-        nxt: dict[tuple[int, int], tuple[float, list]] = {}
-        for (nodes, deepest), (sup, picks) in best.items():
-            for tau, g in plans:
-                nn = nodes + tau + g
-                if nn > p.k:
-                    continue
-                key = (nn, max(deepest, tau))
-                cost = sup + (w if tau else g) * layout.alpha
-                if key not in nxt or cost < nxt[key][0]:
-                    nxt[key] = (cost, picks + [(rack, tau, g)] if tau or g else picks)
-        best = nxt
-    result = None
-    for (nodes, deepest), (sup, picks) in best.items():
-        if nodes != p.k:
-            continue
-        total = sup + msize * deepest
-        if result is None or total < result[0]:
-            result = (total, picks)
-    assert result is not None
-    support, picks = result
+    best = None
+    for t in range(epf + 1):
+        for full in range(1, p.r + 1) if t else (0,):
+            taken = min(p.k, full * (t + w))
+            rest = p.k - taken
+            if full <= taken and rest <= (p.r - full) * w:
+                support = t * msize + (full * w + rest) * layout.alpha
+                if best is None or support < best[0]:
+                    best = (support, t, full, taken, rest)
+    assert best is not None
+    support, t, full, taken, rest = best
     if support >= layout.file_size:
         return None
-    witness = []
-    for rack, tau, g in picks:
-        witness += [(rack, i) for i in range(1, tau + 1)]
-        witness += [(rack, epf + t) for t in range(1, g + 1)]
-    return int(support), tuple(witness)
+    # Fill racks 1..full in turn, matrix nodes first.  At the first minimum
+    # (smallest t, then smallest full) rack 1 gets all of matrices 1..t and
+    # no full rack is left empty.
+    order = [*range(1, t + 1), *range(epf + 1, epf + w + 1)]
+    witness = [(rack, i) for rack in range(1, full + 1) for i in order][:taken]
+    witness += [(rack, epf + g) for rack in range(full + 1, p.r + 1)
+                for g in range(1, w + 1)][:rest]
+    return support, tuple(witness)
 
 
 MAX_ATTEMPTS = 24

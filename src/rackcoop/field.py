@@ -2,9 +2,10 @@
 
 Two families are supported:
 
-- binary extension fields GF(2^8) and GF(2^16), with fixed canonical
-  irreducible polynomials (0x11D and 0x1100B) so that serialized symbols
-  are bit-exact across implementations;
+- binary extension fields GF(2^8) and GF(2^16), each with one fixed
+  canonical primitive polynomial (0x11D and 0x1100B) so that serialized
+  symbols are bit-exact across implementations; no other modulus can be
+  built or loaded;
 - prime fields GF(p) for primes p < 2^31.
 
 Field elements are plain Python ints in [0, order).  Scalar operations
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-# Canonical irreducible polynomials, including the x^w term.
+# Canonical primitive polynomials, including the x^w term.
 #   GF(2^8):  x^8 + x^4 + x^3 + x^2 + 1  (0x11D)
 #   GF(2^16): x^16 + x^12 + x^3 + x + 1  (0x1100B)
 CANONICAL_POLY = {8: 0x11D, 16: 0x1100B}
@@ -138,57 +139,33 @@ class Field:
 
 
 class BinaryField(Field):
-    """GF(2^w) with log/antilog tables.
+    """GF(2^w), w in ``CANONICAL_POLY``, with log/antilog tables.
 
     Multiplication is table-based: ``exp[(log a + log b) mod (2^w - 1)]``.
     The extended exp table maps any index involving a zero operand to 0,
     which keeps the vectorized path branch-free.
     """
 
-    def __init__(self, width: int, modulus: int | None = None):
-        if modulus is None:
-            if width not in CANONICAL_POLY:
-                raise FieldError(f"no canonical modulus for GF(2^{width})")
-            modulus = CANONICAL_POLY[width]
-        if not (modulus >> width) & 1:
-            raise FieldError(f"modulus 0x{modulus:X} does not have degree {width}")
+    def __init__(self, width: int):
+        if width not in CANONICAL_POLY:
+            raise FieldError(f"no canonical modulus for GF(2^{width})")
         self.width = width
         self.order = 1 << width
-        self.modulus = modulus
-        self.spec = FieldSpec(KIND_BINARY, self.order, modulus)
+        self.modulus = CANONICAL_POLY[width]
+        self.spec = FieldSpec(KIND_BINARY, self.order, self.modulus)
         self.symbol_bytes = (width + 7) // 8
         self._build_tables()
-
-    def _poly_mul(self, a: int, b: int) -> int:
-        result = 0
-        while b:
-            if b & 1:
-                result ^= a
-            b >>= 1
-            a <<= 1
-            if (a >> self.width) & 1:
-                a ^= self.modulus
-        return result
 
     def _build_tables(self) -> None:
         q = self.order
         n = q - 1
-        # Find a multiplicative generator; the group is cyclic so one of
-        # the small candidates works for any irreducible modulus.
-        for g in range(2, q):
-            exp = np.zeros(n, dtype=np.int64)
-            x = 1
-            ok = True
-            for i in range(n):
-                exp[i] = x
-                x = self._poly_mul(x, g)
-                if x == 1 and i < n - 1:
-                    ok = False
-                    break
-            if ok and x == 1:
-                break
-        else:
-            raise FieldError(f"0x{self.modulus:X} is not irreducible over GF(2)")
+        # Both canonical moduli are primitive, so x generates the
+        # multiplicative group: exp[i] = x^i, one shift and reduce per step.
+        powers = [1]
+        for _ in range(n - 1):
+            x = powers[-1] << 1
+            powers.append(x ^ self.modulus if x & q else x)
+        exp = np.array(powers, dtype=np.int64)
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(n)
         log[0] = 2 * n  # sentinel: any sum involving it lands in the zero tail
@@ -334,8 +311,8 @@ def _is_prime(n: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _cached_binary(width: int, modulus: int) -> BinaryField:
-    return BinaryField(width, modulus)
+def _cached_binary(width: int) -> BinaryField:
+    return BinaryField(width)
 
 
 @lru_cache(maxsize=None)
@@ -344,11 +321,11 @@ def _cached_prime(p: int) -> PrimeField:
 
 
 def gf256() -> BinaryField:
-    return _cached_binary(8, CANONICAL_POLY[8])
+    return _cached_binary(8)
 
 
 def gf65536() -> BinaryField:
-    return _cached_binary(16, CANONICAL_POLY[16])
+    return _cached_binary(16)
 
 
 def prime_field(p: int) -> PrimeField:
@@ -365,4 +342,4 @@ def from_spec(spec: FieldSpec) -> Field:
         raise FieldError(
             f"unsupported binary field GF(2^{width}) with modulus 0x{spec.modulus:X}"
         )
-    return _cached_binary(width, spec.modulus)
+    return _cached_binary(width)

@@ -370,27 +370,18 @@ class ScenarioReport:
 
 
 def run_scenario(spec: CodeSpec, state: ClusterState, scenario: Scenario,
-                 expected_message=None) -> ScenarioReport:
+                 expected_message) -> ScenarioReport:
     """Replay repair rounds and collector probes with full accounting.
 
     Every round must restore the pre-failure contents exactly and move
     exactly d*beta1 + (f-1)*beta2 cross-rack symbols per failed rack; every
-    probe must return the reference message.  Violations raise
-    ``ScenarioError`` naming the round.
+    probe must return ``expected_message``, the message ``state`` encodes.
+    Violations raise ``ScenarioError`` naming the round.
     """
     p = spec.params
     layout = spec.layout
     gamma = layout.gamma
-    if expected_message is None:
-        ids = [(r, i) for r, i in p.node_ids() if i > p.failures_per_rack]
-        reference = codec.collect(spec, state, ids[: p.k]) if len(ids) >= p.k else None
-        if reference is None:
-            probe = scenario.probes[0] if scenario.probes else None
-            if probe is None:
-                raise ScenarioError("cannot derive a reference message: no probes")
-            reference = codec.collect(spec, state, probe)
-    else:
-        reference = np.asarray(expected_message, dtype=np.int64)
+    reference = np.asarray(expected_message, dtype=np.int64)
 
     report = ScenarioReport(
         rounds=len(scenario.rounds), per_round_cross=[], intra_totals={},

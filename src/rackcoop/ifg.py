@@ -28,6 +28,8 @@ from .tradeoff import Composition, compositions
 
 SOURCE = ("S",)
 SINK = ("T",)
+# Random scenarios that worst_case_mincut adds to the canonical family.
+RANDOM_TRIALS = 8
 
 
 class CollectorError(ValueError):
@@ -40,14 +42,13 @@ class UnboundedFlowError(RuntimeError):
 
 @dataclass
 class FlowGraph:
-    """Capacitated DAG; capacity ``None`` stands for infinity."""
+    """Capacitated DAG from ``SOURCE`` to ``SINK``; capacity ``None`` stands
+    for infinity."""
 
     edges: list[tuple[tuple, tuple, Fraction | None]]
-    source: tuple = SOURCE
-    sink: tuple = SINK
 
     def vertices(self) -> set[tuple]:
-        verts = {self.source, self.sink}
+        verts = {SOURCE, SINK}
         for u, v, _ in self.edges:
             verts.add(u)
             verts.add(v)
@@ -73,9 +74,9 @@ class FlowGraph:
 def build(p: CodeParams, alpha, beta1, beta2, history, collector) -> FlowGraph:
     """Flow graph for a failure history and a collector of k live nodes.
 
-    Collector entries are ``(rack, node)`` pairs, or ``(rack, node, stage)``
-    triples which must name the node's latest incarnation (stage 0 is the
-    original); anything stale is rejected.
+    Collector entries are ``(rack, node)`` pairs; each names the node's
+    latest incarnation, the one the last stage that repaired its rack wrote
+    (the original when none did).
     """
     alpha, beta1, beta2 = Fraction(alpha), Fraction(beta1), Fraction(beta2)
     if min(alpha, beta1, beta2) < 0:
@@ -125,25 +126,13 @@ def build(p: CodeParams, alpha, beta1, beta2, history, collector) -> FlowGraph:
             incarnation[rack] = s
 
     seen = set()
-    for entry in collector:
-        if len(entry) == 2:
-            h, i = entry
-            s = incarnation.get(h)
-        elif len(entry) == 3:
-            h, i, s = entry
-        else:
-            raise CollectorError(f"collector entry {entry!r} not (rack, node[, stage])")
+    for h, i in collector:
         if not (1 <= h <= p.r and 1 <= i <= npr):
             raise CollectorError(f"collector node ({h}, {i}) out of range")
-        if s != incarnation[h]:
-            raise CollectorError(
-                f"collector references stale incarnation {s} of node ({h}, {i}); "
-                f"latest is {incarnation[h]}"
-            )
         if (h, i) in seen:
             raise CollectorError(f"duplicate collector node ({h}, {i})")
         seen.add((h, i))
-        edges.append((out(h, i, s), SINK, None))
+        edges.append((out(h, i, incarnation[h]), SINK, None))
     if len(seen) != p.k:
         raise CollectorError(f"collector must name {p.k} nodes, got {len(seen)}")
     return FlowGraph(edges=edges)
@@ -164,7 +153,7 @@ def max_flow(g: FlowGraph) -> Fraction:
     finite_total = sum(int(cap * denom) for _, _, cap in g.edges if cap is not None)
     sentinel = finite_total + 1
 
-    verts = {g.source: 0, g.sink: 1}
+    verts = {SOURCE: 0, SINK: 1}
     for u, v, _ in g.edges:
         for w in (u, v):
             if w not in verts:
@@ -181,7 +170,7 @@ def max_flow(g: FlowGraph) -> Fraction:
     for u, v, c in g.edges:
         add_edge(verts[u], verts[v], sentinel if c is None else int(c * denom))
 
-    src, dst = verts[g.source], verts[g.sink]
+    src, dst = verts[SOURCE], verts[SINK]
     flow = 0
     while True:
         level = [-1] * n
@@ -219,8 +208,6 @@ def max_flow(g: FlowGraph) -> Fraction:
             flow += pushed
             if flow >= sentinel:
                 raise UnboundedFlowError("sink is infinity-connected to the source")
-    if flow >= sentinel:
-        raise UnboundedFlowError("sink is infinity-connected to the source")
     return Fraction(flow, denom)
 
 
@@ -297,10 +284,10 @@ def worst_case_mincut(
     beta2,
     max_stages: int | None = None,
     *,
-    random_trials: int = 8,
     seed: int = 0,
 ) -> WorstCase:
-    """Minimum max-flow over the canonical scenario family plus random probes.
+    """Minimum max-flow over the canonical scenario family plus
+    ``RANDOM_TRIALS`` random probes drawn from ``random.Random(seed)``.
 
     One canonical scenario per composition of m realizes the bound's
     right-hand side, so the minimum over the family equals the analytic
@@ -314,7 +301,7 @@ def worst_case_mincut(
         if len(u) <= max_stages
     ]
     rng = random.Random(seed)
-    scenarios += [random_scenario(p, rng, max_stages) for _ in range(random_trials)]
+    scenarios += [random_scenario(p, rng, max_stages) for _ in range(RANDOM_TRIALS)]
     best: WorstCase | None = None
     for sc in scenarios:
         value = max_flow(build(p, alpha, beta1, beta2, sc.history, sc.collector))

@@ -344,3 +344,82 @@ def reference_solve_full_rank(a: Matrix, b) -> np.ndarray:
         raise linalg.LinalgError("inconsistent linear system")
     x = aug[: a.cols, a.cols :]
     return x[:, 0] if vector else x
+
+
+# -- the bitwise multiply, as a reference for the log/antilog tables ---------
+
+
+def reference_poly_mul(a: int, b: int, width: int, modulus: int) -> int:
+    """``a * b`` in GF(2)[x] modulo ``modulus`` (degree ``width``), by shift
+    and add, one bit of ``b`` at a time."""
+    result = 0
+    while b:
+        if b & 1:
+            result ^= a
+        b >>= 1
+        a <<= 1
+        if (a >> width) & 1:
+            a ^= modulus
+    return result
+
+
+# -- the per-rack DP, as a reference for the closed-form collector bound -----
+
+
+def collector_support(p: CodeParams, nodes) -> int:
+    """Outer-code coordinates the stored symbols of ``nodes`` reach, counted
+    as a union: a global node its own alpha, a product-matrix node i its
+    matrix's m(2d+f-m) plus every global slot of its rack."""
+    alpha = params.construction_params(p).alpha
+    epf = p.failures_per_rack
+    msize = p.m * (2 * p.d + p.f - p.m)
+    reached = set()
+    for rack, i in nodes:
+        if i <= epf:
+            reached.update(("matrix", i, c) for c in range(msize))
+            slots = range(epf + 1, p.nodes_per_rack + 1)
+        else:
+            slots = (i,)
+        reached.update(("global", rack, s, c) for s in slots for c in range(alpha))
+    return len(reached)
+
+
+def reference_structural_deficiency(p: CodeParams):
+    """``codec.structural_recovery_deficiency`` as a dynamic program over
+    racks: each rack takes its first tau matrix nodes and g global nodes, and
+    the state is (nodes used, deepest matrix prefix).  Prefix matrix sets
+    minimize the union, so the DP is exact for the minimum support."""
+    layout = params.construction_params(p)
+    epf = p.failures_per_rack
+    w = p.nodes_per_rack - epf
+    msize = p.m * (2 * p.d + p.f - p.m)
+    plans = [(tau, g) for tau in range(epf + 1) for g in range(w + 1)]
+    best = {(0, 0): (0, [])}
+    for rack in range(1, p.r + 1):
+        nxt = {}
+        for (nodes, deepest), (sup, picks) in best.items():
+            for tau, g in plans:
+                nn = nodes + tau + g
+                if nn > p.k:
+                    continue
+                key = (nn, max(deepest, tau))
+                cost = sup + (w if tau else g) * layout.alpha
+                if key not in nxt or cost < nxt[key][0]:
+                    nxt[key] = (cost, picks + [(rack, tau, g)] if tau or g else picks)
+        best = nxt
+    result = None
+    for (nodes, deepest), (sup, picks) in best.items():
+        if nodes != p.k:
+            continue
+        total = sup + msize * deepest
+        if result is None or total < result[0]:
+            result = (total, picks)
+    assert result is not None
+    support, picks = result
+    if support >= layout.file_size:
+        return None
+    witness = []
+    for rack, tau, g in picks:
+        witness += [(rack, i) for i in range(1, tau + 1)]
+        witness += [(rack, epf + t) for t in range(1, g + 1)]
+    return int(support), tuple(witness)

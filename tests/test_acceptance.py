@@ -109,7 +109,7 @@ def test_criterion_03_bound_oracle_agreement():
             ))
         for alpha, b1, b2 in grid:
             bound = tradeoff.max_file_size(p, alpha, b1, b2).value
-            oracle = ifg.worst_case_mincut(p, alpha, b1, b2, random_trials=4).value
+            oracle = ifg.worst_case_mincut(p, alpha, b1, b2).value
             assert bound == oracle, (p.as_tuple(), alpha, b1, b2, bound, oracle)
             checked += 1
         # corners support exactly B; halving beta2 must fall short of B

@@ -152,6 +152,56 @@ def test_encode_collect_repair_roundtrip(tmp_path, capsys):
     assert recovered.read_bytes() == b"fourteen bytes"
 
 
+def test_encode_collect_over_gf65536(tmp_path, capsys):
+    src = tmp_path / "message.bin"
+    src.write_bytes(b"sixteen-bit symbols")
+    cluster = tmp_path / "cluster"
+    assert run_cli(
+        "encode", "--params", "8,4,2,4,2,2", "--seed", "7", "--field", "gf65536",
+        "--in", str(src), "--out", str(cluster),
+    ) == 0
+    assert "over field of order 65536" in capsys.readouterr().out
+    manifest = json.loads((cluster / "manifest.json").read_text())
+    assert manifest["field"]["order"] == 65536
+    recovered = tmp_path / "out.bin"
+    assert run_cli(
+        "collect", "--out", str(cluster),
+        "--nodes", "1:1,2:2,3:1,4:2", "--recover", str(recovered),
+    ) == 0
+    assert recovered.read_bytes() == b"sixteen-bit symbols"
+
+
+def test_encode_collect_raw_over_prime_field(tmp_path, capsys):
+    symbols = list(range(200, 218))  # B = 18 symbols of GF(257), 4 bytes each
+    src = tmp_path / "raw.bin"
+    src.write_bytes(b"".join(v.to_bytes(4, "little") for v in symbols))
+    cluster = tmp_path / "cluster"
+    assert run_cli(
+        "encode", "--params", "8,4,2,4,2,2", "--seed", "7", "--field", "prime:257", "--raw",
+        "--in", str(src), "--out", str(cluster),
+    ) == 0
+    assert "over field of order 257" in capsys.readouterr().out
+    recovered = tmp_path / "out.bin"
+    assert run_cli(
+        "collect", "--out", str(cluster), "--raw",
+        "--nodes", "1:2,2:2,3:2,4:2", "--recover", str(recovered),
+    ) == 0
+    assert recovered.read_bytes() == src.read_bytes()
+
+
+@pytest.mark.parametrize("text", ["prime:4", "prime:x", "gf7"])
+def test_bad_field_option_exit_1(tmp_path, capsys, text):
+    src = tmp_path / "message.bin"
+    src.write_bytes(b"hello")
+    code = run_cli(
+        "encode", "--params", "8,4,2,4,2,2", "--field", text,
+        "--in", str(src), "--out", str(tmp_path / "c"),
+    )
+    assert code == 1
+    assert repr(text) in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 def test_encode_oversized_input_exit_1(tmp_path, capsys):
     src = tmp_path / "big.bin"
     src.write_bytes(os.urandom(64))
@@ -203,6 +253,12 @@ def test_bench_smoke(capsys):
     # the benchmark names the exact code it measured by its certificate
     assert "(attempt 0, fingerprint d1bdf15c00b8913e)" in out
     assert "collectors checked: 70 of 70 (exhaustive)" in out
+
+
+def test_bench_over_gf65536(capsys):
+    assert run_cli("bench", "--params", "8,4,2,4,2,2", "--field", "gf65536",
+                   "--rounds", "1", "--probes", "2") == 0
+    assert "probes recovered: 2/2" in capsys.readouterr().out
 
 
 def test_bench_reports_sampled_collector_coverage(capsys):

@@ -11,10 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (
     all_k_subsets,
+    all_valid_tuples,
+    collector_support,
     mbcr_vector,
     message_matrices,
     reference_generator,
     reference_parity_block,
+    reference_structural_deficiency,
 )
 from rackcoop import codec, field, harness, linalg, params
 from rackcoop.codec import (
@@ -235,6 +238,27 @@ def test_structural_check_matches_brute_force():
             assert dp is None
 
 
+def test_structural_check_matches_reference_dp():
+    """On every tuple of the n <= 24, r <= 12 box the closed form is None
+    exactly where the per-rack DP is, with the same support, and its witness
+    is k distinct in-range nodes reaching exactly that support."""
+    pool = all_valid_tuples(24, 12)
+    assert len(pool) == 5489
+    deficient = 0
+    for p in pool:
+        got, want = structural_recovery_deficiency(p), reference_structural_deficiency(p)
+        assert (got is None) == (want is None), p.as_tuple()
+        if got is None:
+            continue
+        deficient += 1
+        support, nodes = got
+        assert support == want[0], p.as_tuple()
+        assert len(set(nodes)) == len(nodes) == p.k, p.as_tuple()
+        assert all(1 <= h <= p.r and 1 <= i <= p.nodes_per_rack for h, i in nodes)
+        assert collector_support(p, nodes) == support, p.as_tuple()
+    assert 0 < deficient < len(pool)
+
+
 def test_build_field_too_small():
     p = params.validate(8, 4, 2, 4, 2, 2)
     with pytest.raises(CodeBuildError, match="too large"):
@@ -251,6 +275,27 @@ def test_build_default_code(base_params):
     # parameter-level impossibilities are not retried in a bigger field
     with pytest.raises(codec.UnsupportedParametersError):
         codec.build_default_code(params.validate(12, 6, 2, 4, 4, 2), seed=0)
+
+
+def test_build_default_code_escalates_to_gf65536():
+    """Every GF(2^8) attempt fails verification, so the default policy moves
+    on to GF(2^16), whose first attempt passes."""
+    p = params.validate(12, 6, 1, 2, 3, 1)
+    with pytest.raises(CodeBuildError, match=f"attempt {codec.MAX_ATTEMPTS - 1}: "):
+        build_code(p, field.gf256(), seed=0)
+    spec = codec.build_default_code(p, seed=0)
+    assert spec.field == field.gf65536() and spec.attempt == 0
+
+
+def test_build_default_code_reports_the_last_field():
+    """When both fields exhaust their attempts the GF(2^16) failure is raised."""
+    p = params.validate(9, 7, 2, 3, 2, 1)
+    with pytest.raises(CodeBuildError) as last:
+        build_code(p, field.gf65536(), seed=0)
+    with pytest.raises(CodeBuildError) as got:
+        codec.build_default_code(p, seed=0)
+    assert type(got.value) is CodeBuildError
+    assert str(got.value) == str(last.value)
 
 
 # ---------------------------------------------------------------------------

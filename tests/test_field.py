@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from helpers import reference_poly_mul
 from rackcoop import field
 from rackcoop.field import FieldError, FieldSpec, from_spec, gf256, gf65536, prime_field
 
@@ -158,6 +159,27 @@ def test_canonical_moduli():
     assert gf65536().modulus == 0x1100B
 
 
+def test_tables_match_bitwise_multiply():
+    """The log/antilog product equals shift-and-add multiplication modulo the
+    canonical polynomial: every GF(2^8) pair and 20,000 seeded GF(2^16) pairs."""
+    f = gf256()
+    a, b = (x.ravel() for x in np.meshgrid(np.arange(256), np.arange(256)))
+    want = [reference_poly_mul(int(x), int(y), 8, 0x11D) for x, y in zip(a, b)]
+    assert f.vec_mul(a, b).tolist() == want
+    f = gf65536()
+    rng = np.random.default_rng(16)
+    a, b = rng.integers(0, 1 << 16, size=(2, 20_000))
+    want = [reference_poly_mul(int(x), int(y), 16, 0x1100B) for x, y in zip(a, b)]
+    assert f.vec_mul(a, b).tolist() == want
+
+
+def test_canonical_moduli_are_primitive():
+    """The tables are built as powers of x, which needs x to generate the
+    multiplicative group: exp holds 2^w - 1 distinct entries."""
+    for f in (gf256(), gf65536()):
+        assert f._exp.size == np.unique(f._exp).size == f.order - 1
+
+
 def test_out_of_range_rejected():
     f = gf256()
     with pytest.raises(FieldError):
@@ -172,7 +194,7 @@ def test_bad_field_specs():
     with pytest.raises(FieldError):
         prime_field(10)
     with pytest.raises(FieldError):
-        field.BinaryField(8, modulus=0x1D)  # degree too low
+        field.BinaryField(12)  # no canonical modulus
     with pytest.raises(FieldError):
         from_spec(FieldSpec("binary-extension", 256, 0x11B))  # non-canonical
     with pytest.raises(FieldError):
