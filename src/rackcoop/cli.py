@@ -138,11 +138,15 @@ def _parse_failures(racks_text: str, nodes_text: str) -> dict[int, tuple[int, ..
 _LENGTH_HEADER = 4  # bytes
 
 
-def pack_message(data: bytes, spec: codec.CodeSpec) -> np.ndarray:
-    """Length header + payload + zero padding, as exactly B field symbols."""
+def _require_binary(spec: codec.CodeSpec) -> None:
     if spec.field.spec.kind != "binary-extension":
         # A prime-field symbol cannot hold an arbitrary byte group.
-        raise CliError("packed file ingestion needs a binary field; use --raw")
+        raise CliError("the packed file format needs a binary field; use --raw")
+
+
+def pack_message(data: bytes, spec: codec.CodeSpec) -> np.ndarray:
+    """Length header + payload + zero padding, as exactly B field symbols."""
+    _require_binary(spec)
     width = spec.field.symbol_bytes
     capacity = spec.file_size * width - _LENGTH_HEADER
     if len(data) > capacity:
@@ -156,6 +160,8 @@ def pack_message(data: bytes, spec: codec.CodeSpec) -> np.ndarray:
 
 
 def unpack_message(symbols: np.ndarray, spec: codec.CodeSpec) -> bytes:
+    """The payload of :func:`pack_message`'s symbols."""
+    _require_binary(spec)
     raw = spec.field.to_bytes(symbols)
     length = int.from_bytes(raw[:_LENGTH_HEADER], "little")
     payload = raw[_LENGTH_HEADER:]

@@ -101,14 +101,8 @@ class ClusterState:
         self.symbols[row] = 0
         self.erased[row] = True
 
-    def is_erased(self, rack: int, node: int) -> bool:
-        return bool(self.erased[self.params.row(rack, node)])
-
     def erased_nodes(self) -> list[tuple[int, int]]:
         return [pair for pair, gone in zip(self.params.node_ids(), self.erased.tolist()) if gone]
-
-    def node_ids(self) -> list[tuple[int, int]]:
-        return self.params.node_ids()
 
     def clone(self) -> "ClusterState":
         out = copy.copy(self)
@@ -167,17 +161,7 @@ class CodeSpec:
     def globals_per_rack(self) -> int:
         return self.params.nodes_per_rack - self.params.failures_per_rack
 
-    @property
-    def matrices_per_rack(self) -> int:
-        return self.params.failures_per_rack
-
     # -- column layout of the outer code -------------------------------
-
-    def global_col(self, rack: int, slot: int, pos: int = 0) -> int:
-        """Outer-code column of position ``pos`` in global slot ``slot`` of
-        ``rack`` (slot t holds node e/f + t)."""
-        w = self.globals_per_rack
-        return ((rack - 1) * w + (slot - 1)) * self.alpha + pos
 
     def rack_global_slice(self, rack: int) -> slice:
         w = self.globals_per_rack
@@ -197,18 +181,7 @@ class CodeSpec:
             return base + m * m + m * (width - m) + (row - m) * m + col
         return None
 
-    def u_col(self, rack: int) -> np.ndarray:
-        return self.U.column(rack - 1)
-
-    def v_col(self, rack: int) -> np.ndarray:
-        return self.V.column(rack - 1)
-
     # -- the node generator ---------------------------------------------
-
-    def node_rows(self, rack: int, node: int) -> slice:
-        """Rows of :attr:`generator` holding node (rack, node)'s symbols."""
-        start = self.params.row(rack, node) * self.alpha
-        return slice(start, start + self.alpha)
 
     @cached_property
     def rack_maps(self) -> tuple[Matrix, ...]:
@@ -216,7 +189,7 @@ class CodeSpec:
         global content c_l to each node's c_l part, node by node: the stored
         rows of the local parity P_{i,l} for node i <= e/f, identity rows of
         slot t for global node e/f + t."""
-        a, epf = self.alpha, self.matrices_per_rack
+        a, epf = self.alpha, self.params.failures_per_rack
         eye = np.eye(self.globals_per_rack * a, dtype=np.int64)
         return tuple(
             Matrix(self.field, np.vstack([self.P[i][rack].data[:a] for i in range(epf)] + [eye]))
@@ -232,7 +205,8 @@ class CodeSpec:
     @cached_property
     def generator(self) -> Matrix:
         """The (n*alpha) x B matrix mapping the message to every stored
-        symbol, node by node in (rack, node) order (see :meth:`node_rows`),
+        symbol, node by node in (rack, node) order (node (l, i)'s alpha rows
+        start at ``params.row(l, i) * alpha``),
         one rack at a time: the rack map times the G^T rows of the rack's
         global columns, plus on node i <= e/f the product-matrix map times M_i's."""
         p, f, gt = self.params, self.field, self.G.data.T
@@ -656,8 +630,8 @@ def complete_mbcr_vector(spec: CodeSpec, rack: int, stored: np.ndarray) -> np.nd
     vector per row.
     """
     f = spec.field
-    u_l = spec.u_col(rack)
-    v_l = spec.v_col(rack)
+    u_l = spec.U.data[:, rack - 1]
+    v_l = spec.V.data[:, rack - 1]
     # missing = (u_l . stored[:d] - v_l[:-1] . stored[d:]) / v_l[-1], as one dot product
     weights = f.vec_mul(np.concatenate([u_l, f.vec_sub(0, v_l[:-1])]), f.inv(int(v_l[-1])))
     last = linalg.products(f, stored[..., None, :], weights[:, None])[..., 0, 0]

@@ -8,11 +8,11 @@ Two families are supported:
   built or loaded;
 - prime fields GF(p) for primes p < 2^31.
 
-Field elements are plain Python ints in [0, order).  Scalar operations
-validate their operands; the vectorized operations (``vec_*``) work on
-numpy int64 arrays and skip validation, they are the hot path for the
-matrix routines in :mod:`rackcoop.linalg`, as is ``sub_outer``, the in-place
-rank-1 update of its elimination kernel.
+Field elements are ints in [0, order).  The arithmetic is vectorized: the
+``vec_*`` operations work on numpy int64 arrays and skip validation, as does
+``sub_outer``, the in-place rank-1 update of the elimination kernel in
+:mod:`rackcoop.linalg`.  The scalar operations are ``check``, which
+validates one element, and ``inv``, which inverts one nonzero element.
 """
 
 from __future__ import annotations
@@ -69,19 +69,7 @@ class Field:
             raise FieldError(f"value {a} outside [0, {self.order})")
         return int(a)
 
-    def add(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def sub(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
-    def mul(self, a: int, b: int) -> int:
-        raise NotImplementedError
-
     def inv(self, a: int) -> int:
-        raise NotImplementedError
-
-    def pow(self, a: int, n: int) -> int:
         raise NotImplementedError
 
     # -- vectorized ops (numpy int64 arrays, no validation) ---------------
@@ -176,33 +164,12 @@ class BinaryField(Field):
         self._log = log
         self._ext = ext
 
-    def add(self, a: int, b: int) -> int:
-        return self.check(a) ^ self.check(b)
-
-    sub = add
-
-    def mul(self, a: int, b: int) -> int:
-        a, b = self.check(a), self.check(b)
-        if a == 0 or b == 0:
-            return 0
-        return int(self._ext[self._log[a] + self._log[b]])
-
     def inv(self, a: int) -> int:
         a = self.check(a)
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         n = self.order - 1
         return int(self._exp[(n - self._log[a]) % n])
-
-    def pow(self, a: int, n: int) -> int:
-        a = self.check(a)
-        if n < 0:
-            raise FieldError("negative exponent")
-        if n == 0:
-            return 1
-        if a == 0:
-            return 0
-        return int(self._exp[(int(self._log[a]) * n) % (self.order - 1)])
 
     def vec_add(self, a, b):
         return np.bitwise_xor(np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
@@ -239,26 +206,11 @@ class PrimeField(Field):
         self.spec = FieldSpec(KIND_PRIME, p, p)
         self.symbol_bytes = 4
 
-    def add(self, a: int, b: int) -> int:
-        return (self.check(a) + self.check(b)) % self.order
-
-    def sub(self, a: int, b: int) -> int:
-        return (self.check(a) - self.check(b)) % self.order
-
-    def mul(self, a: int, b: int) -> int:
-        return (self.check(a) * self.check(b)) % self.order
-
     def inv(self, a: int) -> int:
         a = self.check(a)
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return pow(a, self.order - 2, self.order)
-
-    def pow(self, a: int, n: int) -> int:
-        a = self.check(a)
-        if n < 0:
-            raise FieldError("negative exponent")
-        return pow(a, n, self.order)
 
     def vec_add(self, a, b):
         return (np.asarray(a, dtype=np.int64) + np.asarray(b, dtype=np.int64)) % self.order

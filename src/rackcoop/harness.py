@@ -163,7 +163,7 @@ def _payloads(state: ClusterState) -> dict[tuple[int, int], bytes]:
     width = state.alpha * state.field.symbol_bytes
     data = state.field.to_bytes(state.symbols)
     return {pair: b"" if state.erased[row] else data[row * width : (row + 1) * width]
-            for row, pair in enumerate(state.node_ids())}
+            for row, pair in enumerate(state.params.node_ids())}
 
 
 def _digest_nodes(state: ClusterState) -> str:
@@ -310,7 +310,6 @@ def load(directory, nodes=None) -> tuple[ClusterState, CodeSpec]:
 
 @dataclass(frozen=True)
 class Scenario:
-    seed: int
     rounds: tuple[RepairStage, ...]
     probes: tuple[tuple[tuple[int, int], ...], ...]
 
@@ -319,7 +318,7 @@ def random_scenario(p: CodeParams, seed: int, n_rounds: int, n_probes: int) -> S
     rng = random.Random(seed)
     rounds = tuple(RepairStage.random(p, rng) for _ in range(n_rounds))
     probes = tuple(tuple(sorted(rng.sample(p.node_ids(), p.k))) for _ in range(n_probes))
-    return Scenario(seed=seed, rounds=rounds, probes=probes)
+    return Scenario(rounds=rounds, probes=probes)
 
 
 def repair_round(spec: CodeSpec, state: ClusterState, stage: RepairStage) -> RepairTranscript:

@@ -54,22 +54,6 @@ class FlowGraph:
             verts.add(v)
         return verts
 
-    def to_dot(self) -> str:
-        def name(v: tuple) -> str:
-            kind = v[0]
-            if kind in ("S", "T"):
-                return kind
-            if kind == "out":
-                return f"Out_{v[1]}_{v[2]}_{v[3]}"
-            return f"{kind.capitalize()}_{v[1]}_{v[2]}"
-
-        lines = ["digraph ifg {"]
-        for u, v, cap in self.edges:
-            label = "inf" if cap is None else str(cap)
-            lines.append(f'  {name(u)} -> {name(v)} [label="{label}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def build(p: CodeParams, alpha, beta1, beta2, history, collector) -> FlowGraph:
     """Flow graph for a failure history and a collector of k live nodes.

@@ -1,8 +1,8 @@
 """Dense matrix algebra over a finite field.
 
-Matrices carry their field; mixing matrices from different fields raises
-``FieldMismatchError``.  ``rank``, ``solve`` and ``solve_full_rank`` share
-one elimination kernel: unscaled Gauss-Jordan with first-nonzero pivoting,
+Matrices carry their field.  ``products`` is the one field matrix product,
+on raw arrays.  ``rank``, ``solve`` and ``solve_full_rank`` share one
+elimination kernel: unscaled Gauss-Jordan with first-nonzero pivoting,
 which is exact over a finite field.  Each pivot costs one in-place rank-1
 update through the field's ``sub_outer``, and solutions are divided by
 their pivots once at the end.
@@ -25,10 +25,6 @@ class LinalgError(ValueError):
 
 
 class DimensionError(LinalgError):
-    pass
-
-
-class FieldMismatchError(LinalgError):
     pass
 
 
@@ -61,15 +57,6 @@ class Matrix:
     def cols(self) -> int:
         return self.data.shape[1]
 
-    def column(self, j: int) -> np.ndarray:
-        return self.data[:, j].copy()
-
-    def take_columns(self, cols) -> "Matrix":
-        return Matrix(self.field, self.data[:, list(cols)])
-
-    def take_rows(self, rows) -> "Matrix":
-        return Matrix(self.field, self.data[list(rows), :])
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -84,27 +71,10 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
 
 
-def _same_field(a: Matrix, b: Matrix) -> Field:
-    if a.field != b.field:
-        raise FieldMismatchError("operands belong to different fields")
-    return a.field
-
-
-def zeros(field: Field, rows: int, cols: int) -> Matrix:
-    return Matrix(field, np.zeros((rows, cols), dtype=np.int64))
-
-
 def products(f: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The matrix product ``a @ b`` over ``f``, broadcast over leading axes, as
     one elementwise vec_mul and one vec_sum over the inner axis."""
     return f.vec_sum(f.vec_mul(a[..., :, :, None], b[..., None, :, :]), axis=-2)
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    f = _same_field(a, b)
-    if a.cols != b.rows:
-        raise DimensionError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    return Matrix(f, products(f, a.data, b.data))
 
 
 def mat_vec(a: Matrix, v) -> np.ndarray:
@@ -119,10 +89,6 @@ def vec_mat(v, a: Matrix) -> np.ndarray:
     if v.ndim != 1 or v.size != a.rows:
         raise DimensionError(f"vector length {v.size} incompatible with {a.rows} rows")
     return products(a.field, v[None, :], a.data)[0, :]
-
-
-def transpose(a: Matrix) -> Matrix:
-    return Matrix(a.field, a.data.T)
 
 
 def _eliminate(f: Field, m: np.ndarray, cols: int) -> list[int]:

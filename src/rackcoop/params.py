@@ -227,13 +227,6 @@ class ConstructionLayout:
     file_size: int
     n_global: int
 
-    @property
-    def point(self) -> TradeoffPoint:
-        return TradeoffPoint(
-            alpha=self.alpha, beta1=self.beta1, beta2=self.beta2,
-            gamma=self.gamma, file_size=self.file_size, role=ROLE_MBRCR,
-        )
-
 
 def construction_params(p: CodeParams) -> ConstructionLayout:
     """Integer layout of the minimum-bandwidth construction for ``p``."""

@@ -86,7 +86,7 @@ def random_matrix(field: Field, rows: int, cols: int, rng: random.Random) -> Mat
 def message_matrices(spec: CodeSpec, message) -> list[Matrix]:
     """The e/f structured message matrices M_i filled from the outer code."""
     g = global_symbols(spec, message)
-    return [_assemble_mm(spec, g, i) for i in range(1, spec.matrices_per_rack + 1)]
+    return [_assemble_mm(spec, g, i) for i in range(1, spec.params.failures_per_rack + 1)]
 
 
 def _assemble_mm(spec: CodeSpec, g: np.ndarray, i: int) -> Matrix:
@@ -102,8 +102,8 @@ def _assemble_mm(spec: CodeSpec, g: np.ndarray, i: int) -> Matrix:
 
 def mbcr_vector(spec: CodeSpec, mm: Matrix, rack: int) -> np.ndarray:
     """The full 2d+f product-matrix vector [M_i v_l ; M_i^T u_l]."""
-    top = linalg.mat_vec(mm, spec.v_col(rack))
-    bottom = linalg.mat_vec(linalg.transpose(mm), spec.u_col(rack))
+    top = linalg.mat_vec(mm, spec.V.data[:, rack - 1])
+    bottom = linalg.vec_mat(spec.U.data[:, rack - 1], mm)
     return np.concatenate([top, bottom])
 
 
@@ -212,7 +212,7 @@ def reference_cauchy(field: Field, xs, ys) -> Matrix:
     data = np.zeros((len(xs), len(ys)), dtype=np.int64)
     for i, x in enumerate(xs):
         for j, y in enumerate(ys):
-            data[i, j] = field.inv(field.sub(x, y))
+            data[i, j] = field.inv(field.vec_sub(x, y))
     return Matrix(field, data)
 
 
@@ -241,9 +241,10 @@ def reference_generator(spec: CodeSpec) -> Matrix:
     w = np.zeros((p.n * spec.alpha, spec.layout.n_global), dtype=np.int64)
     rack_rows = p.nodes_per_rack * spec.alpha
     for rack in range(1, p.r + 1):
-        u_l, v_l = spec.u_col(rack), spec.v_col(rack)
+        u_l, v_l = spec.U.data[:, rack - 1], spec.V.data[:, rack - 1]
         for i in range(1, p.failures_per_rack + 1):
-            node = w[spec.node_rows(rack, i)]
+            start = p.row(rack, i) * spec.alpha
+            node = w[start : start + spec.alpha]
             for row in range(p.d):
                 for c in range(p.d + p.f):
                     col = spec.message_matrix_col(i, row, c)

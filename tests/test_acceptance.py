@@ -187,7 +187,7 @@ def test_criterion_07_vector_mds(base_spec, base_message):
     rest exactly."""
     g = codec.global_symbols(base_spec, base_message)
     w = base_spec.globals_per_rack
-    epf = base_spec.matrices_per_rack
+    epf = base_spec.params.failures_per_rack
     checked = 0
     for rack in range(1, 5):
         c_l = g[base_spec.rack_global_slice(rack)]

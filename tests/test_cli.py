@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,21 @@ def test_tradeoff_sweep_csv(tmp_path, capsys):
     assert rows[0] == ["alpha_num", "alpha_den", "gamma_num", "gamma_den", "role"]
     assert len(rows) == 6
     assert rows[1][-1] == "MSRCR" and rows[-1][-1] == "MBRCR"
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    """``python -m rackcoop`` is the CLI: the same stdout as ``cli.main``, and
+    exit 1 without a subcommand."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = ["tradeoff", "--params", "8,4,2,4,2,2", "--B", "18"]
+    done = subprocess.run([sys.executable, "-m", "rackcoop", *argv],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert run_cli(*argv) == 0
+    assert done.stdout == capsys.readouterr().out
+    bare = subprocess.run([sys.executable, "-m", "rackcoop"], env=env, capture_output=True, text=True)
+    assert bare.returncode == 1
+    assert "required" in bare.stderr
 
 
 # Printed by the vertex-enumeration LP, which needs seconds per point at m = 6.
@@ -187,6 +204,26 @@ def test_encode_collect_raw_over_prime_field(tmp_path, capsys):
         "--nodes", "1:2,2:2,3:2,4:2", "--recover", str(recovered),
     ) == 0
     assert recovered.read_bytes() == src.read_bytes()
+
+
+def test_packed_format_refused_over_prime_field(tmp_path, capsys):
+    """Without --raw, a GF(257) cluster is refused on the way in and on the way
+    out: its symbols cannot carry the packed length header, so reading the
+    first symbols as one would return wrong bytes."""
+    src = tmp_path / "raw.bin"
+    src.write_bytes(b"\x01\x00\x00\x00" * 18)  # B = 18 symbols, each 1
+    cluster = tmp_path / "cluster"
+    encode = ("encode", "--params", "8,4,2,4,2,2", "--field", "prime:257",
+              "--in", str(src), "--out", str(cluster))
+    assert run_cli(*encode) == 1
+    assert "needs a binary field; use --raw" in capsys.readouterr().err
+    assert run_cli(*encode, "--raw") == 0
+    capsys.readouterr()
+    recovered = tmp_path / "out.bin"
+    assert run_cli("collect", "--out", str(cluster), "--nodes", "1:1,1:2,2:1,2:2",
+                   "--recover", str(recovered)) == 1
+    assert "needs a binary field; use --raw" in capsys.readouterr().err
+    assert not recovered.exists()
 
 
 @pytest.mark.parametrize("text", ["prime:4", "prime:x", "gf7"])

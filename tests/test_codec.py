@@ -201,8 +201,8 @@ def test_structural_check_passes_base(base_params):
 
 
 def test_structural_check_matches_brute_force():
-    """The DP's minimal collector support equals brute-force enumeration of
-    every k-subset's reachable coordinate count."""
+    """The closed form's minimal collector support equals brute-force
+    enumeration of every k-subset's reachable coordinate count."""
     from helpers import all_valid_tuples
 
     def brute_min_support(p):
@@ -231,11 +231,11 @@ def test_structural_check_matches_brute_force():
     for p in rng.sample(pool, 12):
         lay = params.construction_params(p)
         brute = brute_min_support(p)
-        dp = structural_recovery_deficiency(p)
+        closed = structural_recovery_deficiency(p)
         if brute < lay.file_size:
-            assert dp is not None and dp[0] == brute
+            assert closed is not None and closed[0] == brute
         else:
-            assert dp is None
+            assert closed is None
 
 
 def test_structural_check_matches_reference_dp():
@@ -304,7 +304,7 @@ def test_build_default_code_reports_the_last_field():
 
 def test_zero_message_zero_cluster(base_spec):
     state = encode(base_spec, np.zeros(18, dtype=np.int64))
-    for rack, node in state.node_ids():
+    for rack, node in state.params.node_ids():
         assert not state.node(rack, node).any()
 
 
@@ -314,24 +314,23 @@ def test_encode_is_linear(base_spec):
     y = random_message(base_spec, 2)
     sx, sy = encode(base_spec, x), encode(base_spec, y)
     sxy = encode(base_spec, f.vec_add(x, y))
-    for rack, node in sxy.node_ids():
+    for rack, node in sxy.params.node_ids():
         want = f.vec_add(sx.node(rack, node), sy.node(rack, node))
         assert np.array_equal(sxy.node(rack, node), want)
 
 
 def test_global_nodes_hold_outer_code_slices(base_spec, base_message, base_state):
     g = global_symbols(base_spec, base_message)
+    a = base_spec.alpha
     for rack in range(1, 5):
+        c_l = g[base_spec.rack_global_slice(rack)]
         for slot in (1,):
             node = base_spec.params.failures_per_rack + slot
-            start = base_spec.global_col(rack, slot)
-            assert np.array_equal(
-                base_state.node(rack, node), g[start : start + base_spec.alpha]
-            )
+            assert np.array_equal(base_state.node(rack, node), c_l[(slot - 1) * a : slot * a])
 
 
 def test_every_node_stores_alpha_symbols(base_spec, base_state):
-    for rack, node in base_state.node_ids():
+    for rack, node in base_state.params.node_ids():
         assert base_state.node(rack, node).shape == (base_spec.alpha,)
     lay = base_spec.layout
     assert lay.file_size == base_spec.params.k * lay.alpha + base_spec.params.failures_per_rack * (
@@ -381,26 +380,26 @@ def test_generator_matches_paper_formula(base_spec, two_matrix_spec):
     paper's layout: a product-matrix node holds the first alpha entries of
     [M_i v_l ; M_i^T u_l] + P_{i,l} c_l, a global node its slice of G^T m."""
     for spec in (base_spec, two_matrix_spec):
-        epf = spec.matrices_per_rack
-        ids = list(itertools.product(range(1, spec.params.r + 1),
-                                     range(1, spec.params.nodes_per_rack + 1)))
+        p, a = spec.params, spec.alpha
+        epf = p.failures_per_rack
+        ids = list(itertools.product(range(1, p.r + 1), range(1, p.nodes_per_rack + 1)))
         for j in range(spec.file_size):
             msg = np.zeros(spec.file_size, dtype=np.int64)
             msg[j] = 1
-            column = spec.generator.column(j)
+            nodes = spec.generator.data[:, j].reshape(p.n, a)
             g = global_symbols(spec, msg)
             mms = message_matrices(spec, msg)
             for rack, node in ids:
+                c_l = g[spec.rack_global_slice(rack)]
                 if node > epf:
-                    start = spec.global_col(rack, node - epf)
-                    want = g[start : start + spec.alpha]
+                    slot = node - epf
+                    want = c_l[(slot - 1) * a : slot * a]
                 else:
-                    c_l = g[spec.rack_global_slice(rack)]
                     want = spec.field.vec_add(
                         mbcr_vector(spec, mms[node - 1], rack),
                         linalg.mat_vec(spec.P[node - 1][rack - 1], c_l),
-                    )[: spec.alpha]
-                assert np.array_equal(column[spec.node_rows(rack, node)], want), (j, rack, node)
+                    )[:a]
+                assert np.array_equal(nodes[p.row(rack, node)], want), (j, rack, node)
 
 
 def _candidate(tup, make_field, attempt):
@@ -506,7 +505,7 @@ def test_k_minus_one_nodes_rank_deficient(base_spec):
 def test_strip_parities_zero_parity_identity(base_spec, base_message):
     """With all parity maps zeroed, stripping is the identity on stored symbols."""
     zero_p = tuple(
-        tuple(linalg.zeros(base_spec.field, pm.rows, pm.cols) for pm in row)
+        tuple(linalg.Matrix(base_spec.field, np.zeros_like(pm.data)) for pm in row)
         for row in base_spec.P
     )
     zspec = dataclasses.replace(base_spec, P=zero_p)
@@ -619,14 +618,14 @@ def test_repair_rounds_then_collect_property(tup, seed, data):
         before = state.clone()
         erase_pattern(state, dict(stage.failed))
         _, transcript = repair(spec, state, stage.failed, stage.helpers)
-        for rack, node in state.node_ids():
+        for rack, node in p.node_ids():
             assert spec.field.to_bytes(state.node(rack, node)) == spec.field.to_bytes(
                 before.node(rack, node)), (stage, rack, node)
         assert transcript.round1 == sorted(
             (h, l, 2 * epf) for h in stage.helpers for l in stage.racks)
         assert transcript.round2 == sorted(
             (a, b, epf) for a in stage.racks for b in stage.racks if a != b)
-    ids = list(state.node_ids())
+    ids = p.node_ids()
     collector = data.draw(st.lists(st.sampled_from(ids), min_size=p.k, max_size=p.k, unique=True))
     assert np.array_equal(collect(spec, state, collector), message)
 
@@ -737,7 +736,7 @@ def test_vector_mds_blocks_recoverable(base_spec, base_message):
     g = global_symbols(base_spec, base_message)
     mms = message_matrices(base_spec, base_message)
     w = base_spec.globals_per_rack
-    epf = base_spec.matrices_per_rack
+    epf = base_spec.params.failures_per_rack
     for rack in range(1, 5):
         c_l = g[base_spec.rack_global_slice(rack)]
         true_parts = {}  # node index -> its c_l part

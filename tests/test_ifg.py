@@ -138,13 +138,6 @@ def test_history_validation(p):
         build(p, 5, 2, 1, [RepairStage.make({1: (1, 2), 2: (1,)}, (3, 4))], [])
 
 
-def test_dot_dump_names(p):
-    g = build(p, 5, 2, 1, two_stage_history(), [(1, 1), (1, 2), (2, 1), (2, 2)])
-    dot = g.to_dot()
-    assert "Out_1_1_0" in dot and "Virt_1_1" in dot and "Mid_3_2" in dot
-    assert dot.startswith("digraph")
-
-
 # ---------------------------------------------------------------------------
 # worst-case scan against the analytic bound
 # ---------------------------------------------------------------------------

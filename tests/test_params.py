@@ -79,8 +79,10 @@ def test_mbrcr_base_values():
 def test_construction_base_values():
     p = validate(8, 4, 2, 4, 2, 2)
     lay = construction_params(p)
-    assert (lay.alpha, lay.beta1, lay.beta2, lay.file_size, lay.n_global) == (5, 2, 1, 18, 28)
-    assert lay.point.role == "MBRCR"
+    assert (lay.alpha, lay.beta1, lay.beta2, lay.gamma, lay.file_size, lay.n_global) == (
+        5, 2, 1, 5, 18, 28)
+    pt = mbrcr_point(p, lay.file_size)  # the construction sits on the MBRCR corner
+    assert (lay.alpha, lay.beta1, lay.beta2, lay.gamma) == (pt.alpha, pt.beta1, pt.beta2, pt.gamma)
 
 
 def test_file_size_must_be_positive():
