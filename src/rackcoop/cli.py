@@ -83,7 +83,9 @@ def _parse_rational(text: str, name: str) -> Fraction:
     return value
 
 
-def _build_spec(p: params_mod.CodeParams, field_text: str | None, seed: int) -> codec.CodeSpec:
+def _build_spec(p: params_mod.CodeParams, field_text: str | None, seed: int,
+                *, packed: bool = False) -> codec.CodeSpec:
+    """Build the code; ``packed`` refuses a non-binary field before building."""
     if field_text is None:
         return codec.build_default_code(p, seed)
     if field_text == "gf256":
@@ -97,6 +99,8 @@ def _build_spec(p: params_mod.CodeParams, field_text: str | None, seed: int) -> 
             raise CliError(f"bad prime field {field_text!r}: {exc}") from None
     else:
         raise CliError(f"unknown field {field_text!r} (use gf256, gf65536, or prime:P)")
+    if packed:
+        _require_binary(f)
     return codec.build_code(p, f, seed)
 
 
@@ -138,15 +142,15 @@ def _parse_failures(racks_text: str, nodes_text: str) -> dict[int, tuple[int, ..
 _LENGTH_HEADER = 4  # bytes
 
 
-def _require_binary(spec: codec.CodeSpec) -> None:
-    if spec.field.spec.kind != "binary-extension":
+def _require_binary(field: Field) -> None:
+    if field.spec.kind != "binary-extension":
         # A prime-field symbol cannot hold an arbitrary byte group.
         raise CliError("the packed file format needs a binary field; use --raw")
 
 
 def pack_message(data: bytes, spec: codec.CodeSpec) -> np.ndarray:
     """Length header + payload + zero padding, as exactly B field symbols."""
-    _require_binary(spec)
+    _require_binary(spec.field)
     width = spec.field.symbol_bytes
     capacity = spec.file_size * width - _LENGTH_HEADER
     if len(data) > capacity:
@@ -161,7 +165,7 @@ def pack_message(data: bytes, spec: codec.CodeSpec) -> np.ndarray:
 
 def unpack_message(symbols: np.ndarray, spec: codec.CodeSpec) -> bytes:
     """The payload of :func:`pack_message`'s symbols."""
-    _require_binary(spec)
+    _require_binary(spec.field)
     raw = spec.field.to_bytes(symbols)
     length = int.from_bytes(raw[:_LENGTH_HEADER], "little")
     payload = raw[_LENGTH_HEADER:]
@@ -190,7 +194,7 @@ def read_message_file(path: str, spec: codec.CodeSpec, raw: bool) -> np.ndarray:
 
 def _cmd_encode(args) -> int:
     p = _parse_params(args.params)
-    spec = _build_spec(p, args.field, args.seed)
+    spec = _build_spec(p, args.field, args.seed, packed=not args.raw)
     message = read_message_file(args.infile, spec, args.raw)
     state = codec.encode(spec, message)
     manifest = harness.save(state, spec, args.out)

@@ -12,13 +12,16 @@ infinite capacity.  The S-T max-flow of such a graph upper-bounds the file
 size the system can support, which makes the minimum over a scenario family
 an independent oracle for the composition-indexed bound in
 :mod:`rackcoop.tradeoff`.
+
+:func:`max_flow` is an integer Edmonds-Karp kernel; :func:`worst_case_mincut`
+scales ``(alpha, beta1, beta2)`` once per scan, so every graph it solves has
+integer capacities.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -123,76 +126,59 @@ def build(p: CodeParams, alpha, beta1, beta2, history, collector) -> FlowGraph:
 
 
 def max_flow(g: FlowGraph) -> Fraction:
-    """Exact S-T max-flow.
+    """Exact S-T max-flow by BFS shortest augmenting paths (Edmonds-Karp).
 
-    Capacities are scaled by their common denominator and infinity is a
-    sentinel one above the finite total, so the value is computed on
-    integers; ``UnboundedFlowError`` is raised when the sentinel is reached
-    (the sink is infinity-connected to the source).
+    Capacities (``Fraction``, int, or ``None`` for infinity) are scaled by
+    their common denominator, once per graph, and infinity is a sentinel one
+    above the finite total, so the kernel runs on plain integers.
+    ``UnboundedFlowError`` is raised when the sentinel is reached (the sink
+    is infinity-connected to the source).  Integral capacities, as
+    :func:`worst_case_mincut` passes, need no rational arithmetic at all.
     """
-    denom = 1
-    for _, _, cap in g.edges:
-        if cap is not None:
-            denom = math.lcm(denom, cap.denominator)
-    finite_total = sum(int(cap * denom) for _, _, cap in g.edges if cap is not None)
-    sentinel = finite_total + 1
+    denom = math.lcm(*{c.denominator for _, _, c in g.edges if c is not None})
+    scaled = [None if c is None else c.numerator * (denom // c.denominator) for _, _, c in g.edges]
+    sentinel = sum(c for c in scaled if c is not None) + 1
 
-    verts = {SOURCE: 0, SINK: 1}
-    for u, v, _ in g.edges:
-        for w in (u, v):
-            if w not in verts:
-                verts[w] = len(verts)
-    n = len(verts)
-    adj: list[list[int]] = [[] for _ in range(n)]
+    # Arc 2i is edge i and arc 2i+1 its residual twin, so arc ^ 1 reverses.
+    index = {SOURCE: 0, SINK: 1}
     to: list[int] = []
     cap: list[int] = []
+    for (u, v, _), c in zip(g.edges, scaled):
+        to += (index.setdefault(v, len(index)), index.setdefault(u, len(index)))
+        cap += (sentinel if c is None else c, 0)
+    adj: list[list[int]] = [[] for _ in index]
+    for arc in range(len(to)):
+        adj[to[arc ^ 1]].append(arc)
 
-    def add_edge(u: int, v: int, c: int) -> None:
-        adj[u].append(len(to)); to.append(v); cap.append(c)
-        adj[v].append(len(to)); to.append(u); cap.append(0)
-
-    for u, v, c in g.edges:
-        add_edge(verts[u], verts[v], sentinel if c is None else int(c * denom))
-
-    src, dst = verts[SOURCE], verts[SINK]
     flow = 0
     while True:
-        level = [-1] * n
-        level[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for eid in adj[u]:
-                if cap[eid] > 0 and level[to[eid]] < 0:
-                    level[to[eid]] = level[u] + 1
-                    queue.append(to[eid])
-        if level[dst] < 0:
-            break
-        it = [0] * n
-
-        def dfs(u: int, pushed: int) -> int:
-            if u == dst:
-                return pushed
-            while it[u] < len(adj[u]):
-                eid = adj[u][it[u]]
-                v = to[eid]
-                if cap[eid] > 0 and level[v] == level[u] + 1:
-                    got = dfs(v, min(pushed, cap[eid]))
-                    if got:
-                        cap[eid] -= got
-                        cap[eid ^ 1] += got
-                        return got
-                it[u] += 1
-            return 0
-
-        while True:
-            pushed = dfs(src, sentinel)
-            if not pushed:
+        # BFS from the source (vertex 0); parent[v] is the arc that first
+        # reached v, -1 while unseen.  The sink is vertex 1.
+        parent = [-1] * len(adj)
+        parent[0] = -2
+        queue = [0]
+        for u in queue:
+            for arc in adj[u]:
+                v = to[arc]
+                if cap[arc] > 0 and parent[v] == -1:
+                    parent[v] = arc
+                    queue.append(v)
+            if parent[1] != -1:
                 break
-            flow += pushed
-            if flow >= sentinel:
-                raise UnboundedFlowError("sink is infinity-connected to the source")
-    return Fraction(flow, denom)
+        if parent[1] == -1:
+            return Fraction(flow, denom)
+        path = []
+        v = 1
+        while v:
+            path.append(parent[v])
+            v = to[parent[v] ^ 1]
+        pushed = min(cap[arc] for arc in path)
+        for arc in path:
+            cap[arc] -= pushed
+            cap[arc ^ 1] += pushed
+        flow += pushed
+        if flow >= sentinel:
+            raise UnboundedFlowError("sink is infinity-connected to the source")
 
 
 class Scenario(NamedTuple):
@@ -276,7 +262,15 @@ def worst_case_mincut(
     One canonical scenario per composition of m realizes the bound's
     right-hand side, so the minimum over the family equals the analytic
     maximum file size whenever both are implemented correctly.
+
+    Max-flow is homogeneous in the capacities, so every graph of the scan is
+    built on ``(alpha, beta1, beta2)`` scaled once by the lcm D of their
+    denominators, and the minimum is divided by D: exact, with integer
+    capacities throughout.  The witness is the first scenario attaining it.
     """
+    caps = [Fraction(x) for x in (alpha, beta1, beta2)]
+    scale = math.lcm(*(c.denominator for c in caps))
+    caps = [c.numerator * (scale // c.denominator) for c in caps]
     if max_stages is None:
         max_stages = p.m
     scenarios = [
@@ -288,8 +282,8 @@ def worst_case_mincut(
     scenarios += [random_scenario(p, rng, max_stages) for _ in range(RANDOM_TRIALS)]
     best: WorstCase | None = None
     for sc in scenarios:
-        value = max_flow(build(p, alpha, beta1, beta2, sc.history, sc.collector))
+        value = max_flow(build(p, *caps, sc.history, sc.collector))
         if best is None or value < best.value:
             best = WorstCase(value, sc)
     assert best is not None
-    return best
+    return WorstCase(best.value / scale, best.scenario)

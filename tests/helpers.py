@@ -424,3 +424,26 @@ def reference_structural_deficiency(p: CodeParams):
         witness += [(rack, i) for i in range(1, tau + 1)]
         witness += [(rack, epf + t) for t in range(1, g + 1)]
     return int(support), tuple(witness)
+
+
+def reference_min_cut(edges):
+    """Minimum S-T cut of a small capacitated graph by enumerating every
+    source side: ``None`` (infinity) when every cut crosses an infinite edge.
+
+    ``edges`` are ``(u, v, capacity)`` with ``capacity`` ``None`` for
+    infinity, from ``("S",)`` to ``("T",)``; exponential in the number of
+    other vertices, so keep it to about 8 of them.
+    """
+    source, sink = ("S",), ("T",)
+    inner = list({w for u, v, _ in edges for w in (u, v)} - {source, sink})
+    best = None
+    for size in range(len(inner) + 1):
+        for chosen in itertools.combinations(inner, size):
+            side = {source, *chosen}
+            crossing = [c for u, v, c in edges if u in side and v not in side]
+            if None in crossing:
+                continue
+            cut = sum(crossing, Fraction(0))
+            if best is None or cut < best:
+                best = cut
+    return best

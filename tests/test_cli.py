@@ -226,6 +226,20 @@ def test_packed_format_refused_over_prime_field(tmp_path, capsys):
     assert not recovered.exists()
 
 
+def test_packed_format_refused_before_the_build(tmp_path, capsys, monkeypatch):
+    """Over a prime field, encode without --raw refuses before it builds the
+    code, which at large parameters takes seconds."""
+    built = []
+    monkeypatch.setattr(codec, "build_code", lambda *args: built.append(args))
+    src = tmp_path / "message.bin"
+    src.write_bytes(b"hello")
+    assert run_cli("encode", "--params", "24,12,6,12,2,2", "--field", "prime:257",
+                   "--in", str(src), "--out", str(tmp_path / "c")) == 1
+    assert "needs a binary field; use --raw" in capsys.readouterr().err
+    assert built == []
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("text", ["prime:4", "prime:x", "gf7"])
 def test_bad_field_option_exit_1(tmp_path, capsys, text):
     src = tmp_path / "message.bin"

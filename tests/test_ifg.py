@@ -2,7 +2,9 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from helpers import reference_min_cut
 from rackcoop import ifg, params, tradeoff
 from rackcoop.ifg import (
     CollectorError,
@@ -67,6 +69,65 @@ def test_max_flow_unbounded():
     g = FlowGraph(edges=[(("S",), ("v",), None), (("v",), ("T",), None)])
     with pytest.raises(UnboundedFlowError):
         max_flow(g)
+
+
+def test_max_flow_mixes_int_and_fraction_capacities():
+    g = FlowGraph(edges=[(("S",), ("v",), 3), (("v",), ("T",), Fr(5, 2)),
+                         (("S",), ("T",), 0)])
+    assert max_flow(g) == Fr(5, 2)
+
+
+def test_max_flow_cancels_flow_on_a_shortest_path():
+    """S-a-b-T is the only shortest path, and the second unit of flow must
+    undo its a-b leg: S-x-y-b, back over b-a, then a-p-q-T."""
+    e = [("S", "a"), ("a", "b"), ("b", "T"), ("S", "x"), ("x", "y"), ("y", "b"),
+         ("a", "p"), ("p", "q"), ("q", "T")]
+    g = FlowGraph(edges=[((u,), (v,), Fr(1)) for u, v in e])
+    assert max_flow(g) == 2
+
+
+def _infinite_path(edges):
+    """Whether the sink is reachable from the source through infinite edges."""
+    reached, frontier = {("S",)}, [("S",)]
+    while frontier:
+        u = frontier.pop()
+        for a, b, c in edges:
+            if a == u and c is None and b not in reached:
+                reached.add(b)
+                frontier.append(b)
+    return ("T",) in reached
+
+
+@st.composite
+def _small_dags(draw):
+    """Random DAGs on S, up to 8 inner vertices and T, in topological order:
+    a chain through every vertex plus random forward edges, parallel ones
+    included.  Capacities mix rationals, ints, zero and infinity (``None``)."""
+    order = [("S",)] + [("v", i) for i in range(draw(st.integers(0, 8)))] + [("T",)]
+    cap = st.one_of(
+        st.fractions(0, 20, max_denominator=12),
+        st.integers(0, 9),
+        st.just(Fr(0)),
+        st.none(),
+    )
+    pairs = [(i, j) for i in range(len(order)) for j in range(i + 1, len(order))]
+    chosen = [(i, i + 1) for i in range(len(order) - 1)]
+    chosen += draw(st.lists(st.sampled_from(pairs), max_size=24))
+    return [(order[i], order[j], draw(cap)) for i, j in chosen]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_small_dags())
+def test_max_flow_matches_brute_force_min_cut(edges):
+    """Max-flow equals the minimum over every S-T cut, and is unbounded
+    exactly when an all-infinite S-T path exists."""
+    cut = reference_min_cut(edges)
+    assert (cut is None) == _infinite_path(edges)
+    if cut is None:
+        with pytest.raises(UnboundedFlowError):
+            max_flow(FlowGraph(edges=edges))
+    else:
+        assert max_flow(FlowGraph(edges=edges)) == cut
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +218,46 @@ def test_worst_case_detects_deficient_beta2(p):
     wc = worst_case_mincut(p, 5, 2, Fr(1, 2))
     assert wc.value == 17
     assert wc.value < 18
+
+
+# worst_case_mincut's value and witness at the benchmark's oracle tuples,
+# seed 0, recorded from the recursive Dinic kernel that ran on Fraction
+# capacities graph by graph: at both corners (the same value and witness),
+# and at the MBRCR corner with beta2 halved, where the bound fails and the
+# witness is not the first scenario scanned.
+PINNED_CORNERS = [
+    ((8, 4, 2, 4, 2, 2), 18, "composition [2]", 17, "composition [1, 1]"),
+    ((12, 6, 3, 6, 3, 3), 42, "composition [3]", 39, "composition [1, 1, 1]"),
+    ((12, 8, 2, 4, 2, 2), 38, "composition [2]", 37, "composition [1, 1]"),
+    ((10, 5, 3, 5, 2, 2), 33, "composition [2]", 32, "composition [1, 1]"),
+    ((6, 4, 4, 6, 2, 2), 24, "composition [2, 2]", 22, "composition [1, 1, 1, 1]"),
+    ((16, 8, 4, 8, 2, 2), 60, "composition [2, 2]", 58, "composition [1, 1, 1, 1]"),
+    ((24, 12, 6, 12, 2, 2), 126, "composition [2, 2, 2]",
+     123, "composition [1, 1, 1, 1, 1, 1]"),
+]
+
+
+@pytest.mark.parametrize("tup,value,tag,short_value,short_tag", PINNED_CORNERS)
+def test_worst_case_pinned_at_corners(tup, value, tag, short_value, short_tag):
+    p_ = params.validate(*tup)
+    b = params.construction_params(p_).file_size
+    msr, mbr = params.msrcr_point(p_, b), params.mbrcr_point(p_, b)
+    for point in (msr, mbr):
+        wc = worst_case_mincut(p_, point.alpha, point.beta1, point.beta2, seed=0)
+        assert (wc.value, wc.scenario.tag) == (value, tag)
+    wc = worst_case_mincut(p_, mbr.alpha, mbr.beta1, mbr.beta2 / 2, seed=0)
+    assert (wc.value, wc.scenario.tag) == (short_value, short_tag)
+
+
+def test_worst_case_large_denominators(p):
+    """The once-per-scan scaling stays exact when the lcm of the
+    denominators is about 10^12."""
+    alpha = Fr(5_000_017, 1_000_003)
+    beta1 = Fr(2_000_011, 1_000_003)
+    beta2 = Fr(999_989, 999_983)
+    wc = worst_case_mincut(p, alpha, beta1, beta2)
+    assert wc.value == tradeoff.max_file_size(p, alpha, beta1, beta2).value
+    assert wc.value.denominator > 1
 
 
 def test_canonical_scenarios_fail_relayers(p):
