@@ -396,11 +396,10 @@ def _candidate(p, field, layout, rng, attempt):
     else:
         g_points = rng.sample(range(1, q), n_pts)
         uv_points = rng.sample(range(1, q), r)
-    # The draws must stay in order: layout-v1 clusters store only the seed
-    # and rebuild (and re-verify) the code from it, and layout-v2 clusters
-    # regenerate candidate number `attempt` from the seed and check its
-    # fingerprint.  This draw, whose value is unused, keeps every later
-    # parity and point draw where earlier builds had it.
+    # The draws must stay in order: a cluster regenerates candidate number
+    # `attempt` from the seed and checks its fingerprint.  This draw, whose
+    # value is unused, keeps every later parity and point draw where the
+    # clusters already written expect it.
     rng.randrange(2**32)
     g = linalg.vandermonde(layout.file_size, g_points, field)
     u = linalg.vandermonde(p.d, uv_points, field)
@@ -568,7 +567,7 @@ def stack_functionals(spec: CodeSpec, nodes) -> Matrix:
 
 
 def collect(spec: CodeSpec, state: ClusterState, nodes) -> np.ndarray:
-    """Recover the message from any k live nodes.
+    """Recover the message from any k distinct live nodes.
 
     The k*alpha observed symbols are solved against the stacked generator
     rows.  Rows of rank < B are the code's failure; otherwise the k*alpha - B
@@ -576,7 +575,10 @@ def collect(spec: CodeSpec, state: ClusterState, nodes) -> np.ndarray:
     ``CodeIntegrityError`` instead of decoding to wrong bytes.
     """
     p = spec.params
-    chosen = sorted(set((int(r), int(i)) for r, i in nodes))
+    chosen = sorted((int(r), int(i)) for r, i in nodes)
+    repeated = [a for a, b in zip(chosen, chosen[1:]) if a == b]
+    if repeated:
+        raise EncodingError(f"collector node {repeated[0]} is listed more than once")
     if len(chosen) != p.k:
         raise EncodingError(f"collect needs exactly {p.k} distinct nodes, got {len(chosen)}")
     try:

@@ -43,12 +43,10 @@ class ScenarioError(RuntimeError):
 
 @dataclass(frozen=True)
 class Manifest:
-    """One cluster's manifest.
+    """One cluster's manifest, in layout ``LAYOUT_VERSION``.
 
-    Layout v2 (written by :func:`save`) names the code by ``attempt`` and
-    ``fingerprint`` and maps every node file to its SHA-256 in ``nodes``.
-    Layout v1 (still read) has neither; its ``digest`` covers all node files
-    at once and its code is rebuilt and re-verified from the seed.
+    It names the code by ``attempt`` and ``fingerprint`` and maps every node
+    file to its SHA-256 in ``nodes``.
     """
 
     params: CodeParams
@@ -57,15 +55,13 @@ class Manifest:
     file_size: int
     alpha: int
     erased: tuple[tuple[int, int], ...]
-    attempt: int | None = None
-    fingerprint: str | None = None
-    nodes: dict[str, str] | None = None
-    digest: str | None = None
-    layout_version: int = LAYOUT_VERSION
+    attempt: int
+    fingerprint: str
+    nodes: dict[str, str]
 
     def to_json(self) -> str:
         doc = {
-            "layout_version": self.layout_version,
+            "layout_version": LAYOUT_VERSION,
             "params": {
                 "n": self.params.n, "k": self.params.k, "d": self.params.d,
                 "r": self.params.r, "e": self.params.e, "f": self.params.f,
@@ -79,11 +75,10 @@ class Manifest:
             "file_size": self.file_size,
             "alpha": self.alpha,
             "erased": [list(pair) for pair in self.erased],
+            "attempt": self.attempt,
+            "fingerprint": self.fingerprint,
+            "nodes": self.nodes,
         }
-        if self.layout_version == 1:
-            doc["digest"] = self.digest
-        else:
-            doc.update(attempt=self.attempt, fingerprint=self.fingerprint, nodes=self.nodes)
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     @classmethod
@@ -98,9 +93,9 @@ class Manifest:
         if not isinstance(doc, dict):
             raise ClusterIntegrityError(f"manifest is a JSON {type(doc).__name__}, not an object")
         version = doc.get("layout_version")
-        if type(version) is not int or version not in (1, LAYOUT_VERSION):
+        if type(version) is not int or version != LAYOUT_VERSION:
             raise LayoutVersionError(
-                f"layout version {version!r} unsupported, expected 1 or {LAYOUT_VERSION}"
+                f"layout version {version!r} unsupported, expected {LAYOUT_VERSION}"
             )
         pp = _typed(doc, "params", dict)
         fd = _typed(doc, "field", dict)
@@ -126,10 +121,7 @@ class Manifest:
             file_size=_typed(doc, "file_size", int),
             alpha=_typed(doc, "alpha", int),
             erased=tuple(tuple(pair) for pair in erased),
-            layout_version=version,
         )
-        if version == 1:
-            return cls(**common, digest=_typed(doc, "digest", str))
         attempt = _typed(doc, "attempt", int)
         if not 0 <= attempt < codec.MAX_ATTEMPTS:
             raise ClusterIntegrityError(
@@ -166,15 +158,6 @@ def _payloads(state: ClusterState) -> dict[tuple[int, int], bytes]:
             for row, pair in enumerate(state.params.node_ids())}
 
 
-def _digest_nodes(state: ClusterState) -> str:
-    """The layout-v1 digest: one SHA-256 over every node file."""
-    h = hashlib.sha256()
-    for pair, payload in _payloads(state).items():
-        h.update(f"{_node_name(*pair)}:{len(payload)}:".encode())
-        h.update(payload)
-    return h.hexdigest()
-
-
 class PartialClusterState(ClusterState):
     """A cluster that ``load(directory, nodes=...)`` read only in part.
 
@@ -188,7 +171,7 @@ class PartialClusterState(ClusterState):
 
 
 def save(state: ClusterState, spec: CodeSpec, directory, nodes=None) -> Manifest:
-    """Write ``state`` with a layout-v2 manifest naming ``spec`` by its certificate.
+    """Write ``state`` with a manifest naming ``spec`` by its certificate.
 
     Every node's digest is taken from ``state``, but only the node files of
     ``nodes`` (default: all) are written, then ``manifest.json`` last.  A
@@ -238,16 +221,15 @@ def _write(path: Path, data: bytes) -> None:
 def load(directory, nodes=None) -> tuple[ClusterState, CodeSpec]:
     """Read a cluster and the code instance its manifest names.
 
-    A v2 manifest's code is candidate ``attempt`` of ``codec.candidates``,
-    taken without re-verification: its fingerprint must equal the manifest's.
-    A v1 manifest's code is rebuilt and verified by ``codec.build_code``.  A
-    missing node file is reported on stderr and loaded as erased; a node
-    file that is read must match its digest.
+    The code is candidate ``attempt`` of ``codec.candidates``, taken without
+    re-verification: its fingerprint must equal the manifest's.  A manifest
+    of another layout version raises ``LayoutVersionError``.  A missing node
+    file is reported on stderr and loaded as erased; a node file that is read
+    must match its digest.
 
-    With ``nodes``, a v2 cluster reads and checks only those node files; the
-    others are checked for existence only, and if any is left unread the
-    result is a :class:`PartialClusterState`.  A v1 digest covers every
-    file, so a v1 cluster is always read whole.
+    With ``nodes``, only those node files are read and checked; the others
+    are checked for existence only, and if any is left unread the result is
+    a :class:`PartialClusterState`.
     """
     root = Path(directory)
     try:
@@ -256,24 +238,19 @@ def load(directory, nodes=None) -> tuple[ClusterState, CodeSpec]:
         raise ClusterIntegrityError(f"no manifest.json in {root}") from None
     p = manifest.params
     f = field_mod.from_spec(manifest.field_spec)
-    if manifest.layout_version == 1:
-        spec = codec.build_code(p, f, manifest.seed)
-    else:
-        spec = next(itertools.islice(codec.candidates(p, f, manifest.seed), manifest.attempt, None))
-        if spec.fingerprint != manifest.fingerprint:
-            raise ClusterIntegrityError(
-                f"code fingerprint {spec.fingerprint[:16]} (seed {manifest.seed}, attempt "
-                f"{manifest.attempt}) does not match the manifest's fingerprint "
-                f"{manifest.fingerprint[:16]}"
-            )
+    spec = next(itertools.islice(codec.candidates(p, f, manifest.seed), manifest.attempt, None))
+    if spec.fingerprint != manifest.fingerprint:
+        raise ClusterIntegrityError(
+            f"code fingerprint {spec.fingerprint[:16]} (seed {manifest.seed}, attempt "
+            f"{manifest.attempt}) does not match the manifest's fingerprint "
+            f"{manifest.fingerprint[:16]}"
+        )
     if spec.file_size != manifest.file_size or spec.alpha != manifest.alpha:
         raise ClusterIntegrityError(
             "manifest layout disagrees with the rebuilt code instance"
         )
     erased = set(manifest.erased)
-    unread = set()
-    if nodes is not None and manifest.nodes is not None:
-        unread = set(p.node_ids()) - set(map(tuple, nodes))
+    unread = set() if nodes is None else set(p.node_ids()) - set(map(tuple, nodes))
     state = (PartialClusterState(p, f, spec.alpha, unread) if unread
              else ClusterState(p, f, spec.alpha))
     for rack, node in p.node_ids():
@@ -289,7 +266,7 @@ def load(directory, nodes=None) -> tuple[ClusterState, CodeSpec]:
                 print(f"warning: {path} is missing; node ({rack}, {node}) is loaded as erased",
                       file=sys.stderr)
             continue
-        if manifest.nodes is not None and hashlib.sha256(data).hexdigest() != manifest.nodes[name]:
+        if hashlib.sha256(data).hexdigest() != manifest.nodes[name]:
             raise ClusterIntegrityError(f"{path} does not match its digest in the manifest")
         if (rack, node) in erased:
             if data:
@@ -303,8 +280,6 @@ def load(directory, nodes=None) -> tuple[ClusterState, CodeSpec]:
                     f"{path} holds {symbols.size} symbols, expected {spec.alpha}"
                 )
             state.set_node(rack, node, symbols)
-    if manifest.digest is not None and _digest_nodes(state) != manifest.digest:
-        raise ClusterIntegrityError("node files do not match the manifest digest")
     return state, spec
 
 

@@ -423,6 +423,21 @@ def _edit_fingerprint(doc):
     doc["fingerprint"] = ("0" if doc["fingerprint"][0] != "0" else "1") + doc["fingerprint"][1:]
 
 
+def _drop_fingerprint(doc):
+    del doc["fingerprint"]
+
+
+def _drop_nodes(doc):
+    del doc["nodes"]
+
+
+def _to_v1(doc, digest="0" * 64):
+    """A layout-v1 manifest: one digest over all node files, no certificate."""
+    for key in ("attempt", "fingerprint", "nodes"):
+        del doc[key]
+    doc.update(layout_version=1, digest=digest)
+
+
 @pytest.mark.parametrize("edit, named", [
     (_drop_params, "'params'"),
     (_set_seed, "'seed'"),
@@ -438,6 +453,9 @@ def _edit_fingerprint(doc):
     (_stringify_attempt, "'attempt'"),
     (_drop_node_digest, "'nodes'"),
     (_edit_fingerprint, "fingerprint"),
+    (_drop_fingerprint, "'fingerprint'"),
+    (_drop_nodes, "'nodes'"),
+    (_to_v1, "layout version 1 unsupported"),
 ])
 def test_collect_malformed_manifest_exit_2(tmp_path, capsys, edit, named):
     cluster = _encode_cluster(tmp_path)
@@ -583,45 +601,47 @@ def test_v2_commands_do_not_reverify_the_code(tmp_path, monkeypatch):
     assert _node_files(cluster) == before
 
 
-def test_v1_cluster_collects_and_repairs_to_v2(tmp_path, monkeypatch):
-    """A layout-v1 cluster (seed and one digest over all node files, no
-    certificate) still loads through the verified build; repair re-saves it
-    as v2 with the same node bytes."""
+def test_v1_cluster_repair_exit_2_leaves_files_unchanged(tmp_path, monkeypatch, capsys):
+    """A layout-v1 cluster, with its true digest, is refused before any node
+    file is read or written; every file keeps its bytes and its
+    modification time."""
     cluster = _encode_cluster(tmp_path)
-    before = _node_files(cluster)
     h = hashlib.sha256()
-    for name, data in before.items():  # rack-major, node-minor: the v1 order
+    for name, data in _node_files(cluster).items():  # rack-major, node-minor: the v1 order
         h.update(f"{name}:{len(data)}:".encode())
         h.update(data)
+    _edit_manifest(cluster, lambda doc: _to_v1(doc, h.hexdigest()))
+    before = _dir_files(cluster)
+    for name in before:
+        os.utime(cluster / name, ns=(0, 0))
+    read = []
+    real_read = Path.read_bytes
 
-    def to_v1(doc):
-        for key in ("attempt", "fingerprint", "nodes"):
-            del doc[key]
-        doc.update(layout_version=1, digest=h.hexdigest())
+    def read_bytes(path):
+        read.append(path.name)
+        return real_read(path)
 
-    _edit_manifest(cluster, to_v1)
-    verified = []
-    real_verify = codec._verify_spec
+    monkeypatch.setattr(Path, "read_bytes", read_bytes)
+    assert run_cli("repair", "--dir", str(cluster),
+                   "--racks", "1,3", "--nodes", "2/1", "--helpers", "2,4") == 2
+    monkeypatch.undo()
+    assert read == ["manifest.json"]
+    assert "layout version 1 unsupported" in capsys.readouterr().err
+    assert _dir_files(cluster) == before
+    assert not any((cluster / name).stat().st_mtime_ns for name in before)
 
-    def verify(spec):
-        verified.append(spec)
-        return real_verify(spec)
 
-    monkeypatch.setattr(codec, "_verify_spec", verify)
+def test_collect_refuses_a_repeated_node_exit_1(tmp_path, capsys):
+    """Five listed nodes with one repeat are not a collector of k = 4 distinct
+    nodes; nothing is recovered."""
+    cluster = _encode_cluster(tmp_path)
+    capsys.readouterr()
     out = tmp_path / "o"
     assert run_cli("collect", "--out", str(cluster),
-                   "--nodes", "1:1,2:2,3:1,4:2", "--recover", str(out)) == 0
-    assert out.read_bytes() == b"hello" and verified
-    assert run_cli("repair", "--dir", str(cluster),
-                   "--racks", "1,3", "--nodes", "2/1", "--helpers", "2,4") == 0
-    doc = json.loads((cluster / "manifest.json").read_text())
-    assert doc["layout_version"] == 2 and "digest" not in doc
-    assert doc["attempt"] == verified[-1].attempt
-    assert _node_files(cluster) == before
-    verified.clear()
-    assert run_cli("collect", "--out", str(cluster),
-                   "--nodes", "1:2,2:1,3:2,4:1", "--recover", str(out)) == 0
-    assert out.read_bytes() == b"hello" and not verified
+                   "--nodes", "1:2,1:2,2:2,3:1,3:2", "--recover", str(out)) == 1
+    captured = capsys.readouterr()
+    assert "(1, 2) is listed more than once" in captured.err and not captured.out
+    assert not out.exists()
 
 
 def test_collect_names_the_code_when_a_collector_cannot_decode(tmp_path, capsys):

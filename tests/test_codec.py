@@ -97,10 +97,9 @@ def _seed0_build(tup):
     ((12, 7, 1, 2, 2, 1), "431496b746c3ba98"),  # the 22nd, dense parities
 ])
 def test_seeded_builds_pinned(tup, expected):
-    """Layout-v1 clusters store only the seed and rebuild the code from it,
-    and layout-v2 clusters regenerate their accepted attempt from it, so a
-    seeded build must give the same G, U, V, P in every version, including
-    the random draws of rejected attempts."""
+    """A cluster regenerates its accepted attempt from the seed, so a seeded
+    build must give the same G, U, V, P in every version, including the
+    random draws of rejected attempts."""
     assert _seed0_build(tup).fingerprint[:16] == expected
 
 

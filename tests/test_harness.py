@@ -20,8 +20,8 @@ from rackcoop.harness import (
 
 
 def test_save_load_roundtrip(tmp_path, base_spec, base_state):
-    manifest = save(base_state, base_spec, tmp_path / "c")
-    assert manifest.layout_version == 2
+    save(base_state, base_spec, tmp_path / "c")
+    assert json.loads((tmp_path / "c" / "manifest.json").read_text())["layout_version"] == 2
     loaded_state, loaded_spec = load(tmp_path / "c")
     assert loaded_state == base_state
     assert loaded_spec.G == base_spec.G and loaded_spec.P == base_spec.P
