@@ -474,7 +474,7 @@ def _vector_mds_problem(spec: CodeSpec) -> int | None:
     subsets = [(rack - 1, *idx) for rack in range(1, p.r + 1)
                for idx in linalg._subsets(p.nodes_per_rack, spec.globals_per_rack, spec.seed ^ rack)]
     bad = linalg.first_deficient(spec.field, subsets,
-                                 lambda idx: _stacked(per_node[idx[:, :1], idx[:, 1:]]))
+                                 lambda idx: (_stacked(per_node[idx[:, :1], idx[:, 1:]]), 0))
     return None if bad is None else bad[0] + 1
 
 
@@ -511,12 +511,69 @@ def _collector_subsets(spec: CodeSpec):
     return linalg._subsets(spec.params.n, spec.params.k, spec.seed ^ 0x5EED)
 
 
+def _systematic_rows(spec: CodeSpec):
+    """The node generator in a systematic basis, or None when its rank is
+    below B.
+
+    One unscaled elimination of ``generator^T``, whose columns are the
+    generator's rows taken global nodes first, picks B independent rows
+    greedily.  With T the inverse of those rows and D the diagonal of the
+    pivots, it leaves ``generator · T · D``, in which the j-th picked row is
+    a multiple of the j-th unit vector; it is stored as that unit vector,
+    which changes no rank.  The outer code is MDS, so the first
+    ``min(#global nodes, B // alpha)`` global nodes are picked whole.
+    Returns ``(rows, unit)``: ``rows`` in the generator's ``(n*alpha) x B``
+    layout and ``unit`` the ``(n, alpha)`` unit-vector index of each picked
+    row, -1 elsewhere.
+    """
+    p, f, a, size = spec.params, spec.field, spec.alpha, spec.file_size
+    first = np.argsort([i <= p.failures_per_rack for _, i in p.node_ids()], kind="stable")
+    order = (first[:, None] * a + np.arange(a)).ravel()
+    m = spec.generator.data[order].T.copy()
+    pivots = linalg._eliminate(f, m, m.shape[1])
+    if len(pivots) < size:
+        return None
+    m[:, pivots] = np.eye(size, dtype=np.int64)  # the pivot columns are left stale
+    rows = np.empty((p.n * a, size), dtype=np.int64)
+    rows[order] = m.T
+    unit = np.full(p.n * a, -1, dtype=np.intp)
+    unit[order[pivots]] = np.arange(size)
+    return rows, unit.reshape(p.n, a)
+
+
 def _collector_rank_problem(spec: CodeSpec):
-    p = spec.params
-    per_node = spec.generator.data.reshape(p.n, spec.alpha, -1)
-    bad = linalg.first_deficient(spec.field, _collector_subsets(spec),
-                                 lambda idx: _stacked(per_node[idx]))
+    """The first collector of :func:`_collector_subsets` whose rows have rank
+    below B, or None.
+
+    Checked in the systematic basis of :func:`_systematic_rows`.  A
+    collector holding s whole unit-vector nodes lists their rows and columns
+    first.  Those rows are zero on every other column, so the collector has
+    rank B exactly when its other rows have full column rank on the
+    ``B - alpha*s`` columns those nodes do not cover, and
+    ``full_column_rank`` starts it at column ``alpha*s``.
+    """
+    p, a, size = spec.params, spec.alpha, spec.file_size
     ids = p.node_ids()
+    subsets = _collector_subsets(spec)
+    basis = _systematic_rows(spec)
+    if basis is None:  # no collector reaches rank B
+        return tuple(ids[j] for j in next(iter(subsets)))
+    rows, unit = basis
+    whole = (unit >= 0).all(axis=1)
+    covers = np.where(whole[:, None], unit, size)  # unit columns of whole nodes, else a spare
+    node_row_starts = np.arange(0, a * size, size)  # flat offsets of a node's rows in `rows`
+
+    def gather(idx):
+        # whole nodes first, each group in subset order
+        idx = np.sort(idx + p.n * ~whole[idx], axis=1) % p.n
+        held = whole[idx]
+        covered = np.zeros((len(idx), size + 1), dtype=bool)
+        covered[np.arange(len(idx))[:, None], covers[idx].reshape(len(idx), -1)] = True
+        cols = np.argsort(~covered[:, :size], axis=1, kind="stable")
+        row_starts = (idx[:, :, None] * (a * size) + node_row_starts).reshape(len(idx), -1)
+        return rows.take(row_starts[:, :, None] + cols[:, None, :]), a * held.sum(axis=1)
+
+    bad = linalg.first_deficient(spec.field, subsets, gather)
     return None if bad is None else tuple(ids[j] for j in bad)
 
 

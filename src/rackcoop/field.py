@@ -94,9 +94,11 @@ class Field:
         return int(self.vec_sum(self.vec_mul(np.asarray(a), np.asarray(b))))
 
     def sub_outer(self, out, a, b) -> None:
-        """In place ``out -= a (x) b`` for a 2-D ``out`` (which may be a view)
-        and vectors ``a`` and ``b``: the rank-1 update of elimination."""
-        out[...] = self.vec_sub(out, self.vec_mul(a[:, None], b))
+        """In place ``out -= a (x) b`` for ``out`` of shape ``(..., R, C)``
+        (which may be a view) and ``a``, ``b`` of shapes ``(..., R)`` and
+        ``(..., C)``: the rank-1 update of elimination, batched over any
+        leading axes."""
+        out[...] = self.vec_sub(out, self.vec_mul(a[..., :, None], b[..., None, :]))
 
     # -- serialization (little-endian, fixed width) ------------------------
 
@@ -190,7 +192,8 @@ class BinaryField(Field):
 
     def sub_outer(self, out, a, b) -> None:
         # One log-domain outer sum, one antilog gather, one in-place XOR.
-        np.bitwise_xor(out, self._ext[self._log[a][:, None] + self._log[b]], out=out)
+        np.bitwise_xor(out, self._ext[self._log[a][..., :, None] + self._log[b][..., None, :]],
+                       out=out)
 
 
 class PrimeField(Field):

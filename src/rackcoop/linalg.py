@@ -126,33 +126,53 @@ def rank(a: Matrix) -> int:
     return len(_eliminate(a.field, a.data.copy(), a.cols))
 
 
-def full_column_rank(f: Field, stack) -> np.ndarray:
+def full_column_rank(f: Field, stack, start=0) -> np.ndarray:
     """For each matrix of a ``(b, R, C)`` stack, whether its rank is C.
 
-    All matrices are eliminated together, one column at a time: each takes
-    its first nonzero pivot at or below row c, and only the trailing block
-    below and right of the pivot is updated.  A matrix without a pivot in
-    some column is rank deficient and leaves the batch.
+    Matrix i's first ``start[i]`` columns (``start`` is one int or one per
+    matrix) count as already reduced: only the trailing block
+    ``Z = stack[i, start[i]:, start[i]:]`` is read, and the answer is whether
+    it has full column rank.  That is the whole matrix's answer when its
+    leading ``start[i] x start[i]`` block P is invertible and either the
+    rows below P or the columns right of P are zero: the rank of
+    ``[[P, X], [0, Z]]`` or of ``[[P, 0], [X, Z]]`` is ``start[i] + rank(Z)``.
+
+    All matrices are eliminated together, one column at a time, sorted by
+    start so that column c updates only the prefix of matrices with
+    ``start <= c``: each takes its first nonzero pivot at or below row c,
+    and only the trailing block below and right of the pivot is updated.  A
+    matrix without a pivot in some column is rank deficient and leaves the
+    batch.
     """
-    m = np.array(stack, dtype=np.int64)
-    b, rows, cols = m.shape
+    stack = np.asarray(stack, dtype=np.int64)
+    b, rows, cols = stack.shape
     full = np.zeros(b, dtype=bool)
-    if cols > rows:
+    if cols > rows or not b:
         return full
-    live = np.arange(b)
-    for c in range(cols):
-        nonzero = m[:, c:, c] != 0
+    # m is a sorted copy, so the caller's stack is not written.  reach[c]
+    # counts the matrices that column c updates.
+    start = np.broadcast_to(start, b)
+    live = np.argsort(start, kind="stable")
+    start, m = start[live], stack[live]
+    reach = np.searchsorted(start, np.arange(cols), side="right").tolist()
+    for c in range(int(start[0]), cols):
+        ready = reach[c]
+        nonzero = m[:ready, c:, c] != 0
         found = nonzero.any(axis=1)
         if not found.all():
-            live, m, nonzero = live[found], m[found], nonzero[found]
-        if not live.size:
-            return full
-        at = np.arange(live.size)
+            keep = np.ones(live.size, dtype=bool)
+            keep[:ready] = found
+            live, m, nonzero = live[keep], m[keep], nonzero[found]
+            if not live.size:
+                return full
+            dropped = ready - nonzero.shape[0]
+            reach = [r - dropped for r in reach]
+            ready -= dropped
+        at = np.arange(ready)
         pr = c + nonzero.argmax(axis=1)
         pivot_row = f.vec_mul(m[at, pr, c + 1:], f.vec_inv(m[at, pr, c])[:, None])
-        m[at, pr, c:] = m[:, c, c:]  # row c takes the pivot's place; row c is not read again
-        m[:, c + 1:, c + 1:] = f.vec_sub(
-            m[:, c + 1:, c + 1:], f.vec_mul(m[:, c + 1:, c, None], pivot_row[:, None, :]))
+        m[at, pr, c:] = m[:ready, c, c:]  # row c takes the pivot's place; row c is not read again
+        f.sub_outer(m[:ready, c + 1:, c + 1:], m[:ready, c + 1:, c], pivot_row)
     full[live] = True
     return full
 
@@ -248,14 +268,18 @@ BATCH_ENTRIES = 1 << 20
 def first_deficient(f: Field, subsets, gather):
     """The first of ``subsets`` whose matrix has rank below its column count,
     or None.  ``gather`` maps a ``(b, size)`` array of subsets to their
-    ``(b, R, C)`` stack of matrices.  A repeated subset is checked once."""
+    ``(b, R, C)`` stack of matrices and the columns each has already
+    reduced, the ``start`` of :func:`full_column_rank`.  A repeated subset
+    is checked once.  Blocks run in subset order, so however
+    ``full_column_rank`` orders a block inside, the subset named is the
+    first deficient one."""
     distinct = np.array(list(dict.fromkeys(subsets)), dtype=np.intp)
     if not distinct.size:
         return None
     step = max(1, BATCH_ENTRIES // gather(distinct[:1])[0].size)
-    for start in range(0, len(distinct), step):
-        block = distinct[start : start + step]
-        bad = np.flatnonzero(~full_column_rank(f, gather(block)))
+    for begin in range(0, len(distinct), step):
+        block = distinct[begin : begin + step]
+        bad = np.flatnonzero(~full_column_rank(f, *gather(block)))
         if bad.size:
             return tuple(int(j) for j in block[bad[0]])
     return None
@@ -278,7 +302,7 @@ def check_V_property(v: Matrix, m: int, d: int, f: int) -> bool:
 
 def _top_and_full_check(mat: Matrix, m: int, full: int) -> bool:
     def columns(rows):  # a (b, size) array of column subsets -> (b, len(rows), size)
-        return lambda idx: rows[:, idx].transpose(1, 0, 2)
+        return lambda idx: (rows[:, idx].transpose(1, 0, 2), 0)
 
     if first_deficient(mat.field, _subsets(mat.cols, m, 0), columns(mat.data[:m])) is not None:
         return False

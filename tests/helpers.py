@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from rackcoop import linalg, params
+from rackcoop import codec, linalg, params
 from rackcoop.codec import CodeSpec, global_symbols
 from rackcoop.field import Field
 from rackcoop.linalg import Matrix
@@ -447,3 +447,18 @@ def reference_min_cut(edges):
             if best is None or cut < best:
                 best = cut
     return best
+
+
+# -- the full-matrix collector check, as a reference for the systematic one --
+
+
+def reference_collector_rank_problem(spec: CodeSpec):
+    """The first of the build's collector subsets whose ``k*alpha x B``
+    generator rows have rank below B, or None: each collector's whole
+    matrix, eliminated from column 0."""
+    p = spec.params
+    per_node = spec.generator.data.reshape(p.n, spec.alpha, -1)
+    bad = linalg.first_deficient(spec.field, codec._collector_subsets(spec),
+                                 lambda idx: (codec._stacked(per_node[idx]), 0))
+    ids = p.node_ids()
+    return None if bad is None else tuple(ids[j] for j in bad)

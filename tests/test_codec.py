@@ -15,6 +15,7 @@ from helpers import (
     collector_support,
     mbcr_vector,
     message_matrices,
+    reference_collector_rank_problem,
     reference_generator,
     reference_parity_block,
     reference_structural_deficiency,
@@ -118,6 +119,80 @@ def test_build_decisions_pinned():
     for seed in range(10):
         spec = _gf256_build((8, 4, 2, 4, 2, 2), seed)
         assert (spec.attempt, spec.fingerprint[:16]) == (0, "d1bdf15c00b8913e")
+
+
+def test_rejected_tuple_message_pinned_in_both_fields():
+    """(9,7,2,3,2,1) has 12 global rows against B = 24, so its systematic
+    basis is completed from product-matrix rows.  Its rejection names every
+    attempt's first deficient collector, in GF(2^8) and in GF(2^16)."""
+    first = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (3, 2))
+    other = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 3))
+    for make, firsts in ((field.gf256, (0, 11)), (field.gf65536, (0,))):
+        expected = "could not build a verified code instance; " + "; ".join(
+            f"attempt {a}: collector rank deficient for nodes {first if a in firsts else other}"
+            for a in range(codec.MAX_ATTEMPTS))
+        with pytest.raises(CodeBuildError) as info:
+            build_code(params.validate(9, 7, 2, 3, 2, 1), make(), seed=0)
+        assert str(info.value) == expected
+
+
+def test_sampled_build_after_21_rejections_pinned():
+    """(16,7,1,4,1,1) at seed 0 rejects attempts 0-20 on sampled collectors
+    and accepts attempt 21, the same code as before the systematic check."""
+    spec = _seed0_build((16, 7, 1, 4, 1, 1))
+    assert (spec.attempt, spec.field.order, spec.fingerprint) == (
+        21, 256, "baee9e3e2e3d5ded49cb1c6be4e4cfbf16b6c5c3c80507615e116d3a2fd340d6")
+
+
+@pytest.mark.parametrize("tup, deficient", [
+    ((8, 4, 2, 4, 2, 2), (0, 0)),
+    ((9, 7, 2, 3, 2, 1), (24, 24)),  # global rows < B: whole product-matrix nodes
+    ((10, 5, 1, 2, 1, 1), (10, 0)),
+    ((12, 6, 1, 2, 3, 1), (24, 1)),
+    ((12, 7, 1, 2, 2, 1), (23, 0)),
+    ((16, 7, 1, 4, 1, 1), (23, 0)),  # sampled
+    ((16, 8, 1, 2, 1, 1), (24, 0)),  # sampled
+])
+def test_collector_check_matches_full_matrix_reference(tup, deficient):
+    """On every candidate, in GF(2^8) and GF(2^16), the systematic collector
+    check names the same first deficient collector as the full-matrix
+    reference, or passes exactly when it does.  ``deficient`` pins how many
+    candidates per field the reference rejects."""
+    p = params.validate(*tup)
+    counts = []
+    for make in (field.gf256, field.gf65536):
+        bad = 0
+        for spec in codec.candidates(p, make(), 0):
+            expected = reference_collector_rank_problem(spec)
+            assert codec._collector_rank_problem(spec) == expected, (make().order, spec.attempt)
+            bad += expected is not None
+        counts.append(bad)
+    assert tuple(counts) == deficient
+
+
+def test_collector_check_without_an_mds_outer_code():
+    """Outside the MDS outer code the check stays exact.  With global node
+    (3, 2) a copy of (2, 2), (4, 2) is picked whole in its place, and the
+    first deficient collector is a later one.  With G zero the generator has
+    rank 0 < B, so every collector is deficient and the first is named."""
+    spec = _candidate((8, 4, 2, 4, 2, 2), field.gf256, 0)
+
+    def whole(s):
+        unit = codec._systematic_rows(s)[1]
+        return [node for node, rows in zip(s.params.node_ids(), unit) if (rows >= 0).all()]
+
+    assert whole(spec) == [(1, 2), (2, 2), (3, 2)]
+    g = spec.G.data.copy()
+    g[:, spec.rack_global_slice(3)] = g[:, spec.rack_global_slice(2)]
+    copied = dataclasses.replace(spec, G=linalg.Matrix(spec.field, g))
+    assert whole(copied) == [(1, 2), (2, 2), (4, 2)]
+    zero = dataclasses.replace(spec, G=linalg.Matrix(spec.field, np.zeros_like(g)))
+    assert codec._systematic_rows(zero) is None
+    named = []
+    for broken in (copied, zero):
+        named.append(reference_collector_rank_problem(broken))
+        assert codec._collector_rank_problem(broken) == named[-1]
+    assert named == [((1, 1), (1, 2), (2, 2), (3, 2)), ((1, 1), (1, 2), (2, 1), (2, 2))]
 
 
 @pytest.mark.parametrize("racks, named", [((3,), 3), ((4, 2), 2)])
@@ -433,6 +508,21 @@ def test_generator_peak_memory_is_bounded():
     tracemalloc.start()
     try:
         spec.generator
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * linalg.BATCH_ENTRIES * 8
+
+
+def test_collector_check_peak_memory_is_bounded():
+    """At the same tuple the collector check (its generator already built)
+    holds one block of collector matrices and the B x (n*alpha) basis
+    elimination, within the same three-block bound."""
+    spec = _candidate((24, 23, 11, 12, 1, 1), field.gf65536, 0)
+    spec.generator
+    tracemalloc.start()
+    try:
+        assert codec._collector_rank_problem(spec) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

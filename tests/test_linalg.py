@@ -337,6 +337,43 @@ def test_full_column_rank_leaves_input_and_handles_empty_shapes():
     assert full_column_rank(f, np.zeros((0, 4, 3), dtype=np.int64)).tolist() == []
 
 
+@st.composite
+def _reduced_stacks(draw):
+    """A field, a (b, R, C) stack of zero-heavy ``[[P, X], [0, Z]]`` or
+    ``[[P, 0], [X, Z]]`` matrices and each matrix's start, the size of P (0
+    to C where R allows).  P is a permuted identity, X is random or zero,
+    and Z is one of the KINDS with about half of its entries then zeroed."""
+    f = draw(st.sampled_from(FIELDS))
+    b, rows, cols = (draw(st.integers(1, hi)) for hi in (6, 7, 7))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    starts = draw(st.lists(st.integers(0, min(rows, cols)), min_size=b, max_size=b))
+    stack = np.zeros((b, rows, cols), dtype=np.int64)
+    for m, s in zip(stack, starts):
+        m[:s, :s] = np.eye(s, dtype=np.int64)[rng.sample(range(s), s)]
+        x = draw(st.sampled_from(("right", "below", None)))
+        if x is not None:
+            block = m[:s, s:] if x == "right" else m[s:, :s]
+            block[...] = np.array([rng.randrange(f.order) for _ in range(block.size)],
+                                  dtype=np.int64).reshape(block.shape)
+        z = _kind_matrix(f, draw(st.sampled_from(KINDS)), rows - s, cols - s, rng)
+        z[np.array([[rng.random() < 0.5 for _ in range(cols - s)] for _ in range(rows - s)],
+                   dtype=bool).reshape(z.shape)] = 0
+        m[s:, s:] = z
+    return f, stack, starts
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_reduced_stacks())
+def test_full_column_rank_with_starts_matches_rank(case):
+    """Skipping each matrix's reduced columns keeps every answer of ``rank``,
+    whatever order the starts come in, and leaves the stack unwritten."""
+    f, stack, starts = case
+    before = stack.copy()
+    expected = [rank(Matrix(f, m)) == stack.shape[2] for m in stack]
+    assert full_column_rank(f, stack, starts).tolist() == expected
+    assert np.array_equal(stack, before)
+
+
 def test_first_deficient_keeps_subset_order_across_blocks(monkeypatch):
     """Blocks of one matrix each give the same first failure as one block."""
     f = gf256()
@@ -344,7 +381,7 @@ def test_first_deficient_keeps_subset_order_across_blocks(monkeypatch):
     subsets = [(0, 2), (3, 4), (1, 2), (0, 1), (3, 4)]
 
     def gather(idx):
-        return u.data[:, idx].transpose(1, 0, 2)
+        return u.data[:, idx].transpose(1, 0, 2), 0
 
     assert linalg.first_deficient(f, subsets, gather) == (3, 4)
     monkeypatch.setattr(linalg, "BATCH_ENTRIES", 1)
